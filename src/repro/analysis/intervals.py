@@ -6,10 +6,13 @@ Two consumers share the machinery:
   prover call: a query ``⋀cube ⟹ φ`` whose antecedents already bound the
   goal under interval propagation never reaches DPLL(T).  The decision is
   purely logical — it looks only at the query's expressions, never at
-  program points — so with the discharger on or off the cube search
-  explores the same cubes and emits byte-identical boolean programs
-  (the discharger answers ``True`` only for queries the prover itself
-  proves valid).
+  program points — and sound: every ``True`` is a valid implication over
+  the integers.  It is *not* weaker than the prover, though.  Its affine
+  forms fold products with a zero factor (``(n0*0)*(b*3)`` is ``0``),
+  while the prover's linearization keeps a product of two non-numeral
+  terms opaque, so some queries are discharged that the prover would
+  answer ``False``.  Turning the discharger off can therefore change a
+  printed boolean program (generated case ``fuzz-0-40`` is one).
 - :class:`FunctionIntervals` runs a widening/narrowing forward pass over
   a function CFG; its loop-head facts become candidate predicates when
   Newton stalls (ROADMAP item 5): a diverging counter like ``x = x + 1``
@@ -442,6 +445,18 @@ class _Constraint:
         self.eq = eq
 
 
+def _as_pairs(constraints):
+    """``constraints`` as ``(coefs, const)`` pairs, each meaning
+    ``Σ coefs·atoms + const >= 0``; an equality becomes two mirrored
+    pairs."""
+    pairs = []
+    for con in constraints:
+        pairs.append((con.coefs, con.const))
+        if con.eq:
+            pairs.append(({a: -c for a, c in con.coefs.items()}, -con.const))
+    return pairs
+
+
 def _comparison_constraints(op, left, right):
     """``left op right`` as zero-or-more linear constraints (integer
     semantics: ``a < b`` is ``b - a - 1 >= 0``).  ``None`` when the
@@ -474,6 +489,10 @@ def _comparison_constraints(op, left, right):
     return None
 
 
+#: Marks a goal the discharger has not compiled yet.
+_UNSEEN = object()
+
+
 class IntervalDischarger:
     """Decides ``⋀antecedents ⟹ goal`` by interval constraint
     propagation; sound but incomplete (``False`` means "don't know").
@@ -481,30 +500,35 @@ class IntervalDischarger:
     Only affine facts participate.  The query is valid when the
     antecedents are contradictory (the cube is unsatisfiable) or when
     they force the goal's linear form to its satisfying range.
+
+    One instance serves a whole C2bp run, whose cube decisions reuse the
+    same few candidate literals and goals over and over.  The work that
+    depends on an expression alone — folding, gathering an antecedent's
+    constraints, compiling a goal — is memoized per expression, so a
+    decision only propagates bounds and checks the goal against them.
     """
 
     passes = 4
 
     def __init__(self, stats=None):
         self.stats = stats
+        self._antecedents = {}  # expr -> the constraints it contributes
+        self._goals = {}  # expr -> True, False, or a compiled goal
 
     def decide(self, antecedents, goal):
-        constraints = []
+        pairs = []
         for expr in antecedents:
-            if not self._gather(expr, True, constraints):
-                # An antecedent we cannot model is dropped — weakening
-                # the left side of an implication is the sound direction.
-                continue
+            pairs.extend(self._antecedent_constraints(expr))
         env = {}
-        contradictory = not self._propagate(constraints, env)
+        contradictory = not self._propagate(pairs, env)
         if contradictory:
             return self._hit()
-        goal = fold_constants(goal)
-        if is_trivially_true(goal):
+        compiled = self._compiled_goal(goal)
+        if compiled is True:
             return self._hit()
-        if is_trivially_false(goal):
+        if compiled is False:
             return False  # only a contradictory cube would discharge this
-        if self._entails(goal, env):
+        if self._holds(compiled, env):
             return self._hit()
         return False
 
@@ -512,6 +536,32 @@ class IntervalDischarger:
         if self.stats is not None:
             self.stats.queries_discharged_interval += 1
         return True
+
+    def _antecedent_constraints(self, expr):
+        """``expr``'s constraints as :func:`_as_pairs` pairs."""
+        expanded = self._antecedents.get(expr)
+        if expanded is None:
+            constraints = []
+            # A fact we cannot model contributes nothing — weakening the
+            # left side of an implication is the sound direction — but a
+            # partly-modelled conjunction keeps its modelled conjuncts.
+            self._gather(expr, True, constraints)
+            expanded = _as_pairs(constraints)
+            self._antecedents[expr] = expanded
+        return expanded
+
+    def _compiled_goal(self, goal):
+        compiled = self._goals.get(goal, _UNSEEN)
+        if compiled is _UNSEEN:
+            folded = fold_constants(goal)
+            if is_trivially_true(folded):
+                compiled = True
+            elif is_trivially_false(folded):
+                compiled = False
+            else:
+                compiled = _compile_goal(folded)
+            self._goals[goal] = compiled
+        return compiled
 
     # -- antecedent gathering ---------------------------------------------------
 
@@ -558,18 +608,12 @@ class IntervalDischarger:
 
     # -- propagation ------------------------------------------------------------
 
-    def _propagate(self, constraints, env):
-        """Tighten ``env`` (atom -> interval); False on contradiction."""
-        expanded = []
-        for con in constraints:
-            expanded.append((con.coefs, con.const))
-            if con.eq:
-                expanded.append(
-                    ({a: -c for a, c in con.coefs.items()}, -con.const)
-                )
+    def _propagate(self, pairs, env):
+        """Tighten ``env`` (atom -> interval) from :func:`_as_pairs`
+        pairs; False on contradiction."""
         for _ in range(self.passes):
             changed = False
-            for coefs, const in expanded:
+            for coefs, const in pairs:
                 if not coefs:
                     if const < 0:
                         return False
@@ -612,42 +656,19 @@ class IntervalDischarger:
 
     # -- goal entailment --------------------------------------------------------
 
-    def _entails(self, goal, env):
-        if isinstance(goal, C.UnOp) and goal.op == "!":
-            inner = fold_constants(goal.operand)
-            if isinstance(inner, C.BinOp) and inner.op in _MIRROR:
-                return self._entails(
-                    C.BinOp(_NEGATE[inner.op], inner.left, inner.right), env
-                )
+    def _holds(self, compiled, env):
+        """Whether the compiled goal holds for every valuation in ``env``."""
+        if compiled is None:
             return False
-        if isinstance(goal, C.BinOp) and goal.op == "&&":
-            return self._entails(fold_constants(goal.left), env) and self._entails(
-                fold_constants(goal.right), env
+        kind = compiled[0]
+        if kind == "all":
+            return all(
+                self._constraint_holds(coefs, const, env)
+                for coefs, const in compiled[1]
             )
-        if isinstance(goal, C.BinOp) and goal.op == "||":
-            return self._entails(fold_constants(goal.left), env) or self._entails(
-                fold_constants(goal.right), env
-            )
-        if not (isinstance(goal, C.BinOp) and goal.op in _MIRROR):
-            return False
-        if goal.op == "!=":
-            # Non-convex: holds only when the box is entirely on one side.
-            # (``_comparison_constraints`` models ``!=`` as no-information,
-            # which is right for antecedents but vacuous as a goal.)
-            return self._entails(
-                C.BinOp("<", goal.left, goal.right), env
-            ) or self._entails(C.BinOp(">", goal.left, goal.right), env)
-        constraints = _comparison_constraints(goal.op, goal.left, goal.right)
-        if constraints is None:
-            return False
-        for con in constraints:
-            if not self._constraint_holds(con.coefs, con.const, env):
-                return False
-            if con.eq and not self._constraint_holds(
-                {a: -c for a, c in con.coefs.items()}, -con.const, env
-            ):
-                return False
-        return True
+        if kind == "and":
+            return self._holds(compiled[1], env) and self._holds(compiled[2], env)
+        return self._holds(compiled[1], env) or self._holds(compiled[2], env)
 
     def _constraint_holds(self, coefs, const, env):
         """Whether ``Σ coefs·atoms + const >= 0`` for every valuation in
@@ -660,3 +681,39 @@ class IntervalDischarger:
                 return False
             minimum += coef * bound
         return minimum >= 0
+
+
+def _compile_goal(goal):
+    """A folded goal as the tree :meth:`IntervalDischarger._holds` checks
+    against a box: ``None`` when no box entails it, ``("all", checks)``
+    for a comparison whose ``Σ coefs·atoms + const >= 0`` checks must all
+    hold, and ``("and" | "or", left, right)`` for connectives."""
+    if isinstance(goal, C.UnOp) and goal.op == "!":
+        inner = fold_constants(goal.operand)
+        if isinstance(inner, C.BinOp) and inner.op in _MIRROR:
+            return _compile_goal(
+                C.BinOp(_NEGATE[inner.op], inner.left, inner.right)
+            )
+        return None
+    if isinstance(goal, C.BinOp) and goal.op in ("&&", "||"):
+        kind = "and" if goal.op == "&&" else "or"
+        return (
+            kind,
+            _compile_goal(fold_constants(goal.left)),
+            _compile_goal(fold_constants(goal.right)),
+        )
+    if not (isinstance(goal, C.BinOp) and goal.op in _MIRROR):
+        return None
+    if goal.op == "!=":
+        # Non-convex: holds only when the box is entirely on one side.
+        # (``_comparison_constraints`` models ``!=`` as no-information,
+        # which is right for antecedents but vacuous as a goal.)
+        return (
+            "or",
+            _compile_goal(C.BinOp("<", goal.left, goal.right)),
+            _compile_goal(C.BinOp(">", goal.left, goal.right)),
+        )
+    constraints = _comparison_constraints(goal.op, goal.left, goal.right)
+    if constraints is None:
+        return None
+    return ("all", _as_pairs(constraints))

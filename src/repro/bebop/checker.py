@@ -282,7 +282,10 @@ class Bebop:
         }
         self._pe = {}  # (proc, node uid) -> BDD
         self.summaries = {}  # proc -> BDD over in/out slots
-        self.call_sites = {}  # callee -> set of (caller proc, node)
+        # callee -> {(caller proc, node uid): (caller proc, node)}, in
+        # registration order so summary growth re-queues callers in a
+        # repeatable order.
+        self.call_sites = {}
         self.assertion_failures = []  # (proc, node, states bdd)
         self._enforce_bdd = {}
         self.steps = 0
@@ -515,9 +518,8 @@ class Bebop:
             graph = self.graphs[name]
             for uid, (kind, payload) in table.transfers.items():
                 if kind == "call":
-                    self.call_sites.setdefault(payload.callee, set()).add(
-                        (name, graph.nodes[uid])
-                    )
+                    sites = self.call_sites.setdefault(payload.callee, {})
+                    sites[(name, uid)] = (name, graph.nodes[uid])
         return compiled
 
     def _compile_proc(self, proc_name, proc, fingerprint):
@@ -829,7 +831,7 @@ class Bebop:
         new = m.lor(old, summary_add)
         if new is not old:
             self.summaries[proc_name] = new
-            for caller, call_node in self.call_sites.get(proc_name, ()):
+            for caller, call_node in self.call_sites.get(proc_name, {}).values():
                 self._pending_summary.add((caller, call_node.uid))
                 self._push(caller, call_node, worklist)
 
@@ -978,7 +980,7 @@ class Bebop:
         new = m.lor(old, summary_add)
         if new is not old:
             self.summaries[proc_name] = new
-            for caller, call_node in self.call_sites.get(proc_name, ()):
+            for caller, call_node in self.call_sites.get(proc_name, {}).values():
                 worklist.append((caller, call_node))
 
     def _apply_call(self, proc_name, node, pe, stmt, worklist):
@@ -986,7 +988,8 @@ class Bebop:
         callee = self.program.procedures.get(stmt.name)
         if callee is None:
             raise BebopError("call to undefined procedure %r" % stmt.name)
-        self.call_sites.setdefault(stmt.name, set()).add((proc_name, node))
+        sites = self.call_sites.setdefault(stmt.name, {})
+        sites[(proc_name, node.uid)] = (proc_name, node)
         if len(stmt.args) != len(callee.formals):
             raise BebopError("arity mismatch calling %r" % stmt.name)
         if len(stmt.targets) not in (0, callee.returns):

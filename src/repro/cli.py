@@ -112,11 +112,11 @@ def _add_option_flags(parser):
     parser.add_argument(
         "--jobs",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="worker processes for statement abstraction (default 0: pick "
-        "from os.cpu_count(), staying serial on single-core hosts; the "
-        "translated program is identical for any N)",
+        help="worker processes for statement abstraction (default 1: "
+        "serial; 0 picks from os.cpu_count(), staying serial on "
+        "single-core hosts; the translated program is identical for any N)",
     )
     parser.add_argument(
         "--validate-bp",

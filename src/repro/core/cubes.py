@@ -231,9 +231,10 @@ class CubeSearch:
         self.events = events
         # Optional pre-prover query discharger (the interval abstract
         # interpreter): decides a cube implication without any SAT call
-        # when cheap arithmetic propagation already settles it.  Sound
-        # and strictly weaker than the prover, so enabling it changes
-        # prover traffic but never a search outcome.
+        # when cheap arithmetic propagation already settles it.  Sound,
+        # but not weaker than the prover: it folds products with a zero
+        # factor that the prover keeps opaque, so enabling it can turn a
+        # prover "don't know" into a kept cube and change the output.
         self.discharger = discharger
         self.strategy = make_strategy(getattr(options, "strengthen", None))
 

@@ -79,13 +79,14 @@ class C2bpOptions:
     #: ``--no-theory-incremental`` escape hatch and benchmark baseline.
     theory_incremental: bool = True
 
-    #: Worker processes for statement abstraction; 0 (the default) picks
-    #: automatically from ``os.cpu_count()`` when the
-    #: :class:`repro.engine.EngineContext` starts (1 on single-core
-    #: hosts, capped at :data:`repro.core.pool.MAX_AUTO_JOBS` elsewhere);
-    #: 1 runs serially in-process.  The translated program is identical
-    #: for any job count — parallelism only changes wall-clock time.
-    jobs: int = 0
+    #: Worker processes for statement abstraction; 1 (the default) runs
+    #: serially in-process; 0 picks automatically from ``os.cpu_count()``
+    #: when the :class:`repro.engine.EngineContext` starts (1 on
+    #: single-core hosts, capped at :data:`repro.core.pool.MAX_AUTO_JOBS`
+    #: elsewhere).  The translated program is identical for any job
+    #: count, but only the serial path reuses statement translations
+    #: across CEGAR iterations and from the persistent store.
+    jobs: int = 1
 
     #: Run Bebop on the legacy engine (transfer BDDs re-derived at every
     #: worklist visit, full path-edge propagation) instead of the fast

@@ -35,9 +35,17 @@ class QueryCache:
         ``exprs`` is the iterable of antecedent/conjunct C expressions;
         ``consequent`` is the goal for implication queries.
         """
-        folded = frozenset(fold_constants(e) for e in exprs)
-        goal = fold_constants(consequent) if consequent is not None else None
-        return (kind, folded, goal)
+        return QueryCache.folded_key(
+            kind,
+            [fold_constants(e) for e in exprs],
+            fold_constants(consequent) if consequent is not None else None,
+        )
+
+    @staticmethod
+    def folded_key(kind, folded_exprs, folded_consequent=None):
+        """:meth:`key` from parts the caller has already constant-folded
+        (a cube session folds each literal once, not once per query)."""
+        return (kind, frozenset(folded_exprs), folded_consequent)
 
     def lookup(self, key):
         """``(hit, value)`` — value is None on a miss."""

@@ -27,6 +27,7 @@ to fresh per-cube ``check_implication`` calls otherwise.
 import time
 
 from repro.cfront import cast as C
+from repro.cfront.exprutils import fold_constants
 from repro.prover import terms as T
 from repro.prover.cache import QueryCache
 from repro.prover.incremental import IncrementalCubeSession
@@ -221,6 +222,10 @@ class CubeProverSession:
         self._session = None
         self._synced = None
         self._catalog_synced = None
+        # Constant-folded cube literals and goal for the cache key, each
+        # folded on first use (short sessions decide only a few cubes).
+        self._folded = {}
+        self._folded_goal = None
         prover.stats.cube_sessions += 1
 
     def cube_exprs(self, cube):
@@ -229,6 +234,22 @@ class CubeProverSession:
             self.candidates[index] if polarity else self._negated[index]
             for index, polarity in cube
         )
+
+    def _cache_key(self, cube):
+        folded = self._folded
+        literals = []
+        for literal in cube:
+            expr = folded.get(literal)
+            if expr is None:
+                index, polarity = literal
+                expr = fold_constants(
+                    self.candidates[index] if polarity else self._negated[index]
+                )
+                folded[literal] = expr
+            literals.append(expr)
+        if self._folded_goal is None:
+            self._folded_goal = fold_constants(self.goal)
+        return QueryCache.folded_key("implies", literals, self._folded_goal)
 
     def implies_cube(self, cube):
         """Does the cube's concretization imply the goal?
@@ -240,9 +261,8 @@ class CubeProverSession:
         cube = tuple(cube)
         prover = self.prover
         stats = prover.stats
-        exprs = self.cube_exprs(cube)
         stats.queries += 1
-        key = QueryCache.key("implies", exprs, self.goal)
+        key = self._cache_key(cube)
         if prover.enable_cache:
             hit, value = prover.cache.lookup(key)
             if hit:
@@ -301,7 +321,9 @@ class CubeProverSession:
             ):
                 setattr(stats, name, getattr(stats, name) + counters.get(name, 0))
         else:
-            outcome = prover.backend.check_implication(exprs, self.goal)
+            outcome = prover.backend.check_implication(
+                self.cube_exprs(cube), self.goal
+            )
         elapsed = time.perf_counter() - started
         stats.calls += 1
         result = outcome is Satisfiability.UNSAT

@@ -1,20 +1,27 @@
 """Linear integer arithmetic over opaque atom-terms.
 
 Conjunctions of linear constraints are decided by Fourier-Motzkin
-elimination over the rationals with per-constraint integral tightening
-(dividing by the coefficient gcd and rounding the constant).  Every UNSAT
-verdict is sound for the integers (rational infeasibility implies integer
-infeasibility, and tightening preserves integer solutions); SAT verdicts may
-overshoot for genuinely integer-infeasible systems — the safe direction for
-the predicate-abstraction client.
+elimination with per-constraint integral tightening (dividing by the
+coefficient gcd and rounding the constant).  Every UNSAT verdict is sound
+for the integers (rational infeasibility implies integer infeasibility, and
+tightening preserves integer solutions); SAT verdicts may overshoot for
+genuinely integer-infeasible systems — the safe direction for the
+predicate-abstraction client.
+
+All arithmetic is on plain ``int``: :func:`linearize` only produces integer
+coefficients, Fourier-Motzkin combines constraints with integer
+multipliers, and equality elimination cross-multiplies instead of dividing
+by the pivot.  Every step yields a positive multiple of what the same
+procedure computes over the rationals, and tightening maps all positive
+multiples of a constraint to one normal form, so verdicts are exactly the
+rational procedure's.
 
 A "variable" here is any opaque term: program variables, but also
 uninterpreted applications such as ``deref(p)`` or ``field:val(deref(curr))``
 that happen to be compared arithmetically.
 """
 
-from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from repro.prover.terms import is_num
 
@@ -26,20 +33,19 @@ class LinExpr:
 
     def __init__(self, coeffs=None, const=0):
         self.coeffs = dict(coeffs or {})
-        self.const = Fraction(const)
+        self.const = const
 
     def copy(self):
         return LinExpr(self.coeffs, self.const)
 
     def add_term(self, term, coef):
-        new = self.coeffs.get(term, Fraction(0)) + coef
+        new = self.coeffs.get(term, 0) + coef
         if new == 0:
             self.coeffs.pop(term, None)
         else:
             self.coeffs[term] = new
 
     def scaled(self, factor):
-        factor = Fraction(factor)
         result = LinExpr()
         result.const = self.const * factor
         result.coeffs = {t: c * factor for t, c in self.coeffs.items()}
@@ -72,7 +78,7 @@ def linearize(term):
     """Turn a prover term into a LinExpr; unsupported structure stays
     opaque (the whole subterm becomes a single 'variable')."""
     expr = LinExpr()
-    _linearize_into(term, Fraction(1), expr)
+    _linearize_into(term, 1, expr)
     return expr
 
 
@@ -172,46 +178,46 @@ class LinearSolver:
 
 def _tighten(expr):
     """Integral tightening: divide by the gcd of the coefficients and round
-    the constant up (e <= 0 with integer-valued terms)."""
+    the constant up (e <= 0 with integer-valued terms).  The result is the
+    same for every positive multiple of ``expr``."""
     if not expr.coeffs:
         return expr
-    denominators = [c.denominator for c in expr.coeffs.values()]
-    denominators.append(expr.const.denominator)
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
-    scaled = expr.scaled(scale)
     g = 0
-    for coef in scaled.coeffs.values():
-        g = gcd(g, abs(int(coef)))
+    for coef in expr.coeffs.values():
+        g = gcd(g, coef)
     if g > 1:
         new = LinExpr()
-        new.coeffs = {t: Fraction(int(c) // g) for t, c in scaled.coeffs.items()}
+        new.coeffs = {t: c // g for t, c in expr.coeffs.items()}
         # sum(c_i x_i) <= -k  =>  sum(c_i/g x_i) <= floor(-k/g)
-        new.const = Fraction(-floor(Fraction(-scaled.const) / g))
+        new.const = -((-expr.const) // g)
         return new
-    return scaled
+    return expr
 
 
 def _eliminate_equalities(eqs, les):
-    """Substitute equalities away; returns False on an immediate conflict."""
+    """Substitute equalities away; returns False on an immediate conflict.
+
+    Eliminating ``var`` with the pivot ``a*var + rest == 0`` from a target
+    ``b*var + t`` yields ``|a|*t - sign(a)*b*rest``: the rational
+    substitution ``var = -rest/a`` scaled by ``|a|``, which keeps every
+    coefficient an integer and every inequality's direction."""
     while eqs:
         expr = eqs.pop()
         if expr.is_constant:
             if expr.const != 0:
                 return False
             continue
-        # Solve for some variable: var = rest / -coef.
         var, coef = next(iter(expr.coeffs.items()))
         rest = expr.copy()
         del rest.coeffs[var]
-        substitution = rest.scaled(Fraction(-1) / coef)
+        scale = abs(coef)
+        sign = 1 if coef > 0 else -1
 
         def substitute(target):
             if var not in target.coeffs:
                 return target
             factor = target.coeffs.pop(var)
-            return target.plus(substitution.scaled(factor))
+            return target.scaled(scale).plus(rest.scaled(-sign * factor))
 
         eqs[:] = [substitute(e) for e in eqs]
         les[:] = [substitute(e) for e in les]

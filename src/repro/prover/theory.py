@@ -292,10 +292,8 @@ def _difference_edges(expr):
     """The difference edges asserting ``expr <= 0``, for a LinExpr in the
     fragment; ``_FALSE`` for a violated constant; ``None`` when the
     expression leaves the fragment (an application term, a coefficient
-    other than ±1, more than two terms, a non-integral constant)."""
-    if expr.const.denominator != 1:
-        return None
-    c = int(expr.const)
+    other than ±1, more than two terms)."""
+    c = expr.const
     items = list(expr.coeffs.items())
     if not items:
         return [] if c <= 0 else _FALSE

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     WILDCARD,
+    AnalysisStats,
     ModRefSummaries,
     TouchOracle,
     eliminate_dead_variables,
@@ -32,6 +33,7 @@ from repro.cfront.pretty import pretty_expr
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.engine import EngineContext
 from repro.fuzz import ProgramGenerator
+from repro.prover import Prover
 from repro.slam.cegar import _interval_fallback_predicates, cegar_loop
 
 
@@ -231,6 +233,45 @@ def test_interval_discharger_units():
     # ZeroDivisionError in constraint propagation).
     assert decide(["x > 0 * y", "x < 2"], "x == 1")
     assert not decide(["x <= 0 * y"], "x < 0")
+
+
+def test_interval_discharger_is_not_weaker_than_the_prover():
+    # The shape of generated case fuzz-0-40: the discharger's affine forms
+    # fold a product with a zero factor to 0, while the prover keeps the
+    # product of two non-numeral terms opaque.  The implication is valid,
+    # so the discharger is sound here, but it decides a query the prover
+    # cannot: turning it off can change a printed boolean program.
+    antecedents = [parse_expression("a == 0")]
+    goal = parse_expression("a == (n0 * 0) * (b * 3)")
+    assert IntervalDischarger().decide(antecedents, goal)
+    assert not Prover().implies(antecedents, goal)
+
+
+def test_interval_discharger_memoizes_per_expression():
+    stats = AnalysisStats()
+    discharger = IntervalDischarger(stats)
+
+    def decide(antecedent_texts, goal_text):
+        return discharger.decide(
+            [parse_expression(t) for t in antecedent_texts],
+            parse_expression(goal_text),
+        )
+
+    # A partly-modelled conjunction keeps its modelled conjunct, on the
+    # first decision and on the memoized ones after it.
+    for _ in range(2):
+        assert decide(["x > 5 && y * z > 0"], "x > 1")
+        assert not decide(["x > 5 && y * z > 0"], "y * z > 0")
+        # Structurally equal goals share one compiled form, whatever the
+        # antecedents.
+        assert decide(["x > 2"], "x > 1 && x != 0")
+        assert not decide(["x > 0"], "x > 1 && x != 0")
+        assert decide([], "1 < 2")
+        assert not decide(["x > 0"], "1 > 2")
+        assert decide(["x > 0", "x < 0"], "1 > 2")
+    assert stats.queries_discharged_interval == 8
+    assert len(discharger._antecedents) == 4
+    assert len(discharger._goals) == 5
 
 
 def test_newton_stall_interval_fallback_predicates():

@@ -163,6 +163,43 @@ def test_fast_equals_legacy_on_table2_corpus():
         _assert_same_results(boolean_program, main=study.entry)
 
 
+def test_summary_growth_requeues_callers_in_program_order(monkeypatch):
+    program = parse_bool_program(INTERPROC)
+    order = {name: index for index, name in enumerate(program.procedures)}
+    batches = []  # the call sites each summary growth re-queued, in order
+    update = Bebop._update_summary_fast
+    push = Bebop._push
+
+    def recording_update(self, proc_name, exit_delta, worklist):
+        batches.append([])
+        try:
+            return update(self, proc_name, exit_delta, worklist)
+        finally:
+            batches.append(None)
+
+    def recording_push(self, proc_name, node, worklist):
+        if batches and batches[-1] is not None:
+            batches[-1].append((order[proc_name], node.uid))
+        return push(self, proc_name, node, worklist)
+
+    monkeypatch.setattr(Bebop, "_update_summary_fast", recording_update)
+    monkeypatch.setattr(Bebop, "_push", recording_push)
+    checker = Bebop(program)
+    # Call sites are registered in program order: procedures as declared,
+    # nodes by uid within each.
+    assert [caller for caller, _ in checker.call_sites["flip"]] == ["toggle", "main"]
+    for sites in checker.call_sites.values():
+        keys = [(order[caller], uid) for caller, uid in sites]
+        assert keys == sorted(keys)
+    checker.run()
+    requeued = [batch for batch in batches if batch]
+    assert requeued
+    for batch in requeued:
+        assert batch == sorted(batch)
+    # A repeatable re-queue order makes the worklist step count exact.
+    assert Bebop(program).run().steps == checker.steps
+
+
 def test_context_option_selects_legacy():
     program = parse_bool_program(INTERPROC)
     context = EngineContext(options=C2bpOptions(bebop_legacy=True))

@@ -257,10 +257,44 @@ def test_linarith_paper_example_x_eq_2_implies_x_lt_4():
     assert not refute.check()
 
 
+def test_linarith_negative_pivot_unsat_only_after_tightening():
+    # -2y + 2x + 1 == 0, y <= 3, y >= 3.  Equality elimination pivots on
+    # y (coefficient -2), leaving 2x - 5 <= 0 and -2x + 5 <= 0: the
+    # rational point x = 5/2, y = 3 satisfies the system, and only
+    # tightening (x <= 2, x >= 3) refutes it over the integers.
+    x, y = var("x"), var("y")
+    pivot = app("+", app("+", app("*", num(-2), y), app("*", num(2), x)), num(1))
+    assert list(linearize(pivot).coeffs) == [y, x]
+    solver = LinearSolver()
+    solver.assert_eq_terms(pivot, num(0))
+    _le(solver, y, num(3))
+    _le(solver, num(3), y)
+    assert not solver.check()
+    rx, ry = Fraction(5, 2), Fraction(3)
+    assert -2 * ry + 2 * rx + 1 == 0 and ry <= 3 and ry >= 3
+
+
+def test_linarith_negative_non_unit_equality_unsat():
+    # -2x + y == 0, y <= 3, x >= 2: y = 2x >= 4 contradicts y <= 3.
+    x, y = var("x"), var("y")
+    solver = LinearSolver()
+    solver.assert_eq_terms(app("+", app("*", num(-2), x), y), num(0))
+    _le(solver, y, num(3))
+    _le(solver, num(2), x)
+    assert not solver.check()
+    # Dropping x >= 2 leaves x = y = 0 and friends.
+    relaxed = LinearSolver()
+    relaxed.assert_eq_terms(app("+", app("*", num(-2), x), y), num(0))
+    _le(relaxed, y, num(3))
+    assert relaxed.check()
+
+
 def test_linearize_combines_coefficients():
     expr = linearize(app("+", var("x"), app("-", var("x"), num(3))))
-    assert expr.coeffs == {var("x"): Fraction(2)}
-    assert expr.const == Fraction(-3)
+    assert expr.coeffs == {var("x"): 2}
+    assert expr.const == -3
+    # Plain integers throughout, never rationals.
+    assert type(expr.coeffs[var("x")]) is int and type(expr.const) is int
 
 
 def test_linearize_nonlinear_product_opaque():
@@ -270,6 +304,6 @@ def test_linearize_nonlinear_product_opaque():
 
 def test_linexpr_cancellation():
     expr = LinExpr()
-    expr.add_term(var("x"), Fraction(2))
-    expr.add_term(var("x"), Fraction(-2))
+    expr.add_term(var("x"), 2)
+    expr.add_term(var("x"), -2)
     assert expr.is_constant

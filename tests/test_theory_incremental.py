@@ -428,7 +428,7 @@ def test_engine_context_resolves_auto_jobs(monkeypatch):
     monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
     with EngineContext(options=C2bpOptions(jobs=0)) as context:
         assert context.options.jobs == 1
-    assert C2bpOptions().jobs == 0  # the default asks for auto-selection
+    assert C2bpOptions().jobs == 1  # the default is serial; 0 asks for auto
 
 
 # -- oracle coverage ------------------------------------------------------------------

@@ -4,7 +4,11 @@
   function symbol over a small finite domain; if some interpretation
   satisfies the asserted (dis)equalities, the closure must be consistent.
 - Linear arithmetic vs. brute force: if a conjunction of constraints has an
-  integer solution on a small grid, Fourier-Motzkin must answer SAT.
+  integer solution on a small grid, Fourier-Motzkin must answer SAT; an
+  UNSAT answer means no grid point satisfies it; and an ``implies_eq``
+  answer of True means every grid solution has the two terms equal.  The
+  constraints mix inequalities with equalities (negative and non-unit
+  coefficients included), so equality elimination is covered too.
 """
 
 import itertools
@@ -100,31 +104,46 @@ _GRID = list(itertools.product(range(-4, 5), repeat=len(_LIN_VARS)))
 
 @st.composite
 def linear_constraints(draw):
+    """``(coeffs, const, is_eq)`` triples: ``Σ coeffs·vars + const`` is
+    ``== 0`` when ``is_eq``, else ``<= 0``."""
     constraints = []
     for _ in range(draw(st.integers(1, 5))):
         coeffs = [draw(st.integers(-3, 3)) for _ in _LIN_VARS]
         const = draw(st.integers(-6, 6))
-        constraints.append((coeffs, const))
+        constraints.append((coeffs, const, draw(st.booleans())))
     return constraints
 
 
 def _holds(constraints, point):
-    for coeffs, const in constraints:
+    for coeffs, const, is_eq in constraints:
         total = sum(c * x for c, x in zip(coeffs, point)) + const
-        if total > 0:  # constraint is expr <= 0
+        violated = total != 0 if is_eq else total > 0
+        if violated:
             return False
     return True
+
+
+def _affine_term(coeffs, const):
+    term = num(const)
+    for coef, name in zip(coeffs, _LIN_VARS):
+        term = app("+", term, app("*", num(coef), var(name)))
+    return term
+
+
+def _solver(constraints):
+    solver = LinearSolver()
+    for coeffs, const, is_eq in constraints:
+        if is_eq:
+            solver.assert_eq_terms(_affine_term(coeffs, const), num(0))
+        else:
+            solver.assert_le_terms(_affine_term(coeffs, const), num(0))
+    return solver
 
 
 @settings(max_examples=100, deadline=None)
 @given(linear_constraints())
 def test_linarith_sat_whenever_grid_point_exists(constraints):
-    solver = LinearSolver()
-    for coeffs, const in constraints:
-        expr_term = num(const)
-        for coef, name in zip(coeffs, _LIN_VARS):
-            expr_term = app("+", expr_term, app("*", num(coef), var(name)))
-        solver.assert_le_terms(expr_term, num(0))
+    solver = _solver(constraints)
     if any(_holds(constraints, point) for point in _GRID):
         assert solver.check()
 
@@ -132,11 +151,27 @@ def test_linarith_sat_whenever_grid_point_exists(constraints):
 @settings(max_examples=100, deadline=None)
 @given(linear_constraints())
 def test_linarith_unsat_implies_no_grid_point(constraints):
-    solver = LinearSolver()
-    for coeffs, const in constraints:
-        expr_term = num(const)
-        for coef, name in zip(coeffs, _LIN_VARS):
-            expr_term = app("+", expr_term, app("*", num(coef), var(name)))
-        solver.assert_le_terms(expr_term, num(0))
+    solver = _solver(constraints)
     if not solver.check():
         assert not any(_holds(constraints, point) for point in _GRID)
+
+
+_AFFINE = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=len(_LIN_VARS), max_size=len(_LIN_VARS)),
+    st.integers(-4, 4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_constraints(), _AFFINE, _AFFINE)
+def test_linarith_implies_eq_holds_on_every_grid_solution(constraints, left, right):
+    solver = _solver(constraints)
+    if solver.implies_eq(_affine_term(*left), _affine_term(*right)):
+
+        def value(affine, point):
+            coeffs, const = affine
+            return sum(c * x for c, x in zip(coeffs, point)) + const
+
+        for point in _GRID:
+            if _holds(constraints, point):
+                assert value(left, point) == value(right, point)
