@@ -14,8 +14,8 @@ Byte identity with a fresh run comes from reusing the parallel-merge
 discipline: translations are produced (and cached) with per-statement
 temporary prefixes, then assembled with the same first-use renumbering
 ``_run_parallel`` applies, which the test suite already pins as
-identical to a serial translation.  Cached parts are cloned on both
-store and fetch because assembly renames statement nodes in place.
+identical to a serial translation.  Cached parts are cloned once on
+store and once per hit, because assembly renames statement nodes in place.
 """
 
 from repro.boolprog import ast as B
@@ -53,23 +53,77 @@ def clone_stmts(stmts):
     return copies
 
 
+class ReuseLevel:
+    """The in-memory level: statement payloads and enforce invariants by
+    key, plus a count of the lookups it answered.
+
+    A plain :class:`AbstractionReuse` owns one for one CEGAR loop; the
+    store-backed subclass shares the one on its persistent store, so there
+    it lives as long as the store object does.
+    """
+
+    def __init__(self):
+        self.statements = {}  # key -> payload
+        self.enforce = {}  # key -> enforce expr (possibly None)
+        self.hits = 0
+
+    def clear(self):
+        """Empty the level; returns how many entries it dropped."""
+        dropped = len(self.statements) + len(self.enforce)
+        self.statements.clear()
+        self.enforce.clear()
+        return dropped
+
+    def snapshot(self):
+        return {
+            "statements": len(self.statements),
+            "enforce": len(self.enforce),
+            "hits": self.hits,
+        }
+
+
 class AbstractionReuse:
     """The cache.  One instance lives across the CEGAR loop; C2bp
-    consults it per top-level statement (and per procedure enforce)."""
+    consults it per top-level statement (and per procedure enforce).
 
-    def __init__(self, stats=None):
-        self._statements = {}  # key -> payload
-        self._enforce = {}  # (func, scope names) -> enforce expr
+    Subclasses add a lower level under the in-memory one through the
+    ``_level_key``/``_load``/``_save`` hooks (and their enforce twins).
+    """
+
+    def __init__(self, stats=None, level=None):
+        self.level = ReuseLevel() if level is None else level
         self.stats = stats
+
+    def _level_key(self, key):
+        return key
+
+    def _load(self, key):
+        """A level miss's payload from the lower level, or None."""
+        return None
+
+    def _save(self, key, payload):
+        """Write a newly stored payload through to the lower level."""
+
+    def _load_enforce(self, key):
+        return False, None
+
+    def _save_enforce(self, key, enforce):
+        pass
 
     # -- statements -------------------------------------------------------------
 
     def fetch(self, key):
-        payload = self._statements.get(key)
-        if payload is None:
-            if self.stats is not None:
-                self.stats.c2bp_stmts_retranslated += 1
-            return None
+        level_key = self._level_key(key)
+        payload = self.level.statements.get(level_key)
+        if payload is not None:
+            self.level.hits += 1
+        else:
+            payload = self._load(key)
+            if payload is None:
+                if self.stats is not None:
+                    self.stats.c2bp_stmts_retranslated += 1
+                return None
+            self.level.statements[level_key] = payload
         if self.stats is not None:
             self.stats.c2bp_stmts_reused += 1
         return {
@@ -80,21 +134,29 @@ class AbstractionReuse:
         }
 
     def store(self, key, stmts, temps, temp_meanings, c2bp_counters):
-        self._statements[key] = {
+        payload = {
             "stmts": clone_stmts(stmts),
             "temps": list(temps),
             "temp_meanings": list(temp_meanings),
             "c2bp": dict(c2bp_counters),
         }
+        self.level.statements[self._level_key(key)] = payload
+        self._save(key, payload)
 
     # -- enforce invariants -----------------------------------------------------
 
     def fetch_enforce(self, key):
         """``(hit, enforce)`` — a hit's enforce can legitimately be None
         (no inconsistent cubes), so presence must be reported separately."""
-        if key in self._enforce:
-            return True, self._enforce[key]
-        return False, None
+        level_key = self._level_key(key)
+        if level_key in self.level.enforce:
+            self.level.hits += 1
+            return True, self.level.enforce[level_key]
+        hit, enforce = self._load_enforce(key)
+        if hit:
+            self.level.enforce[level_key] = enforce
+        return hit, enforce
 
     def store_enforce(self, key, enforce):
-        self._enforce[key] = enforce
+        self.level.enforce[self._level_key(key)] = enforce
+        self._save_enforce(key, enforce)

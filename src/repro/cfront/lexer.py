@@ -1,9 +1,19 @@
-"""Hand-written lexer for the C subset.
+"""Lexer for the C subset.
 
 Supports line and block comments, decimal/hex/octal integer literals,
 character literals, string literals (used only for diagnostics), identifiers,
 keywords, and the usual punctuators with maximal munch.
+
+:func:`tokenize` is the fast path: one compiled master pattern matches
+whitespace and comments, identifiers and keywords, well-formed integer
+literals and punctuators.  Everything else -- character and string
+literals, and every malformed input -- is handed to the hand-written
+:class:`Lexer` at that offset, so literal values, error messages and error
+positions are the reference lexer's own.  :class:`Lexer` stays the
+reference the tokenizer is differentially tested against.
 """
+
+import re
 
 from repro.cfront import tokens as T
 from repro.cfront.errors import LexError, SourcePos
@@ -98,7 +108,12 @@ class Lexer:
             while self._peek() in _DIGITS:
                 self._advance()
             text = self._source[start : self._offset]
-            value = int(text, 8) if text.startswith("0") and len(text) > 1 else int(text)
+            if text.startswith("0") and len(text) > 1:
+                if "8" in text or "9" in text:
+                    raise LexError("malformed octal literal %r" % text, pos)
+                value = int(text, 8)
+            else:
+                value = int(text)
         # Consume (and ignore) integer suffixes.
         while self._peek() in ("u", "U", "l", "L"):
             self._advance()
@@ -187,6 +202,73 @@ class Lexer:
                 return
 
 
+#: The fast path's master pattern.  ``skip`` covers runs of whitespace,
+#: comments and preprocessor lines; ``int`` only matches a literal the
+#: reference lexer accepts unchanged (a glued identifier character, an 8 or
+#: 9 in an octal literal, or a bare ``0x`` fails the match); ``slow`` claims
+#: an unterminated ``/*``, which would otherwise lex as ``/`` then ``*``.
+#: Anything no alternative matches goes to :class:`Lexer`.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/|\#[^\n]*)+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>(?:0[xX][0-9a-fA-F]+|[1-9][0-9]*|0[0-7]*)[uUlL]*)(?![A-Za-z0-9_])"
+    r"|(?P<slow>/\*)"
+    r"|(?P<punct>%s)" % "|".join(re.escape(p) for p in T.PUNCTUATORS),
+    re.S,
+)
+
+
+def _int_value(text):
+    digits = text.rstrip("uUlL")
+    if digits[1:2] in ("x", "X"):
+        return int(digits, 16)
+    if len(digits) > 1 and digits[0] == "0":
+        return int(digits, 8)
+    return int(digits)
+
+
 def tokenize(source, source_name="<source>"):
     """Return the full token list (including EOF) for ``source``."""
-    return list(Lexer(source, source_name).tokens())
+    tokens = []
+    append = tokens.append
+    match = _TOKEN.match
+    Token = T.Token
+    keywords = T.KEYWORDS
+    offset = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    end = len(source)
+    lexer = None
+    while offset < end:
+        found = match(source, offset)
+        group = found.lastgroup if found is not None else None
+        if group == "skip":
+            text = found.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = offset + text.rindex("\n") + 1
+            offset = found.end()
+            continue
+        if group is None or group == "slow":
+            if lexer is None:
+                lexer = Lexer(source, source_name)
+            lexer._offset = offset
+            lexer._line = line
+            lexer._column = offset - line_start + 1
+            append(lexer.next_token())
+            offset = lexer._offset
+            line = lexer._line
+            line_start = offset - lexer._column + 1
+            continue
+        text = found.group()
+        pos = SourcePos(source_name, line, offset - line_start + 1)
+        if group == "ident":
+            append(Token(T.KEYWORD if text in keywords else T.IDENT, text, pos))
+        elif group == "punct":
+            append(Token(T.PUNCT, text, pos))
+        else:
+            append(Token(T.INTLIT, text, pos, value=_int_value(text)))
+        offset = found.end()
+    append(Token(T.EOF, "", SourcePos(source_name, line, offset - line_start + 1)))
+    return tokens

@@ -40,6 +40,11 @@ _BINARY_LEVELS = [
     ["*", "/", "%"],
 ]
 
+# Operator -> index of its level in _BINARY_LEVELS.
+_BINARY_LEVEL_OF = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
 
 class Parser:
     """Parses one translation unit into a :class:`repro.cfront.cast.Program`."""
@@ -54,8 +59,9 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def _peek(self, ahead=0):
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        tokens = self._tokens
+        index = self._index + ahead
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def _next(self):
         token = self._peek()
@@ -522,17 +528,21 @@ class Parser:
             return C.Cond(cond, then_expr, else_expr, cond.pos)
         return cond
 
-    def _parse_binary(self, level):
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind == T.PUNCT and self._peek().text in ops:
-            # Avoid consuming '&' of '&&' handled at its own level etc.
-            op = self._next().text
+    def _parse_binary(self, min_level):
+        """Precedence climbing over ``_BINARY_LEVEL_OF``: one loop per
+        operand instead of one call per precedence level.  Operators of
+        the same level associate left, and each node takes ``left.pos``."""
+        left = self._parse_unary()
+        while True:
+            token = self._peek()
+            if token.kind != T.PUNCT:
+                return left
+            level = _BINARY_LEVEL_OF.get(token.text)
+            if level is None or level < min_level:
+                return left
+            self._next()
             right = self._parse_binary(level + 1)
-            left = C.BinOp(op, left, right, left.pos)
-        return left
+            left = C.BinOp(token.text, left, right, left.pos)
 
     def _starts_expression(self, ahead):
         token = self._peek(ahead)

@@ -25,7 +25,7 @@ import sys
 
 from repro.bebop import Bebop
 from repro.boolprog import parse_bool_program, print_bool_program
-from repro.cfront import parse_c_program
+from repro.cfront import CFrontError, parse_c_program
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.core.replay import TraceReplayer
 from repro.engine import EngineContext
@@ -799,7 +799,21 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except CFrontError as error:
+        # A malformed input program is a usage error, not a crash.  The
+        # path is the command line's: `slam` parses under a placeholder name.
+        out.write(
+            "error: %s:%d:%d: %s\n"
+            % (
+                getattr(args, "program", error.pos.source_name),
+                error.pos.line,
+                error.pos.column,
+                error.message,
+            )
+        )
+        return 2
 
 
 if __name__ == "__main__":

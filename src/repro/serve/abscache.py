@@ -3,98 +3,58 @@
 The statement-abstraction cache is the big cross-run lever: a warm
 re-verification fetches every unchanged top-level statement's translated
 parts (and every procedure's enforce invariant) from disk and runs zero
-cube searches for them.  The in-memory dict from the base class remains
-the first level (CEGAR iterations inside one process never touch disk
-twice for the same key); disk keys add the semantic options fingerprint
-on top of the mod/ref statement key, so ablation configurations that can
-legitimately translate differently never share entries.
+cube searches for them.
+
+The in-memory level above the disk is the one on the
+:class:`~repro.serve.store.PersistentStore` object, so it lasts as long as
+the store does: in the ``repro serve`` daemon that is every request, not
+one CEGAR loop, and a repeated statement is read from disk and decoded
+once.  The level is keyed by ``(options fingerprint, statement key)``.
+Statement keys are nested tuples of strings and ints, equal exactly when
+their ``repr``s are, so a level key is equal exactly when the disk key
+text (the fingerprint plus that ``repr``) is, and ablation configurations
+that can legitimately translate differently share entries in neither
+level.  The daemon's ``flush`` empties the level.
 
 Byte identity is inherited from the reuse assembly path: cached parts are
 produced with per-statement temp prefixes and merged with the pinned
-first-use renumbering, so a disk hit and a fresh translation print the
-same bytes (the fuzz oracle's ``cache-divergence`` check holds the line).
+first-use renumbering, so a level hit, a disk hit and a fresh translation
+print the same bytes (the fuzz oracle's ``cache-divergence`` check holds
+the line).
 """
 
-from repro.analysis.reuse import AbstractionReuse, clone_stmts
-from repro.serve.keys import enforce_store_key, statement_store_key
+from repro.analysis.reuse import AbstractionReuse
+from repro.serve.keys import (
+    enforce_store_key,
+    options_fingerprint,
+    statement_store_key,
+)
 
 
 class PersistentAbstractionReuse(AbstractionReuse):
-    """Statement/enforce reuse with a disk second level."""
+    """Statement/enforce reuse through the store's level, then its disk."""
 
     def __init__(self, disk, options, stats=None):
-        super().__init__(stats=stats)
+        super().__init__(stats=stats, level=disk.reuse_level)
         self.disk = disk
         self.options = options
-        self.disk_hits = 0
-        self.disk_misses = 0
 
-    # -- statements -------------------------------------------------------------
+    def _level_key(self, key):
+        return (options_fingerprint(self.options), key)
 
-    def fetch(self, key):
-        payload = super().fetch(key)
-        if payload is not None:
-            return payload
+    def _load(self, key):
         hit, stored = self.disk.get(statement_store_key(key, self.options))
-        if not hit:
-            self.disk_misses += 1
-            return None
-        self.disk_hits += 1
-        # Undo the base class's retranslated count for this key: the
-        # statement is served, not retranslated.
-        if self.stats is not None:
-            self.stats.c2bp_stmts_retranslated -= 1
-            self.stats.c2bp_stmts_reused += 1
-        # Promote to memory (cloned on both ends by the base class).
-        super().store(
-            key,
-            stored["stmts"],
-            stored["temps"],
-            stored["temp_meanings"],
-            stored["c2bp"],
-        )
-        return {
-            "stmts": clone_stmts(stored["stmts"]),
-            "temps": list(stored["temps"]),
-            "temp_meanings": list(stored["temp_meanings"]),
-            "c2bp": dict(stored["c2bp"]),
-        }
+        # A freshly unpickled payload is nobody else's: the level keeps it.
+        return stored if hit else None
 
-    def store(self, key, stmts, temps, temp_meanings, c2bp_counters):
-        super().store(key, stmts, temps, temp_meanings, c2bp_counters)
-        self.disk.put(
-            statement_store_key(key, self.options),
-            {
-                "stmts": clone_stmts(stmts),
-                "temps": list(temps),
-                "temp_meanings": list(temp_meanings),
-                "c2bp": dict(c2bp_counters),
-            },
-        )
+    def _save(self, key, payload):
+        self.disk.put(statement_store_key(key, self.options), payload)
 
-    # -- enforce invariants -----------------------------------------------------
-
-    def fetch_enforce(self, key):
-        hit, enforce = super().fetch_enforce(key)
-        if hit:
-            return True, enforce
-        disk_hit, stored = self.disk.get(enforce_store_key(key, self.options))
-        if not disk_hit:
-            return False, None
+    def _load_enforce(self, key):
+        hit, stored = self.disk.get(enforce_store_key(key, self.options))
         # ``stored`` wraps the expression so a legitimate None enforce
         # (no inconsistent cubes) still reads as a hit.
-        enforce = stored["enforce"]
-        super().store_enforce(key, enforce)
-        return True, enforce
+        return (True, stored["enforce"]) if hit else (False, None)
 
-    def store_enforce(self, key, enforce):
-        super().store_enforce(key, enforce)
+    def _save_enforce(self, key, enforce):
         self.disk.put(enforce_store_key(key, self.options), {"enforce": enforce})
-
-    def snapshot(self):
-        return {
-            "statements": len(self._statements),
-            "enforce": len(self._enforce),
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-        }

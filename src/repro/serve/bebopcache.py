@@ -13,12 +13,20 @@ BDD node indices are manager-relative (``2 * slot (+1 for shadow)``), so
 records store every variable as a neutral ``(slot_key, shadow)`` symbol
 and every BDD as a postorder node list over those symbols.  Rehydration
 maps symbols through the *loading* checker's slot table (deterministically
-preallocated from the program text) and rebuilds nodes bottom-up with
-``manager.ite`` — hash-consing makes the result canonical in the new
-manager regardless of slot renumbering.
+preallocated from the program text) and rebuilds nodes bottom-up.  While
+the record's variable order still holds in the loading manager -- a
+node's variable sorts above both children's -- each node goes straight
+into the unique table (``manager._mk``); a node whose order no longer
+holds is rebuilt with ``manager.ite``.  Either way hash-consing makes the
+result the loading manager's canonical node, regardless of slot
+renumbering.
 """
 
 from repro.serve.keys import bebop_store_key
+
+#: The variable of a terminal, for the order check: it sorts below every
+#: real variable.
+_LEAF = float("inf")
 
 
 def _serialize_bdds(checker, roots):
@@ -151,14 +159,17 @@ def deserialize_table(checker, data):
     from repro.bebop.checker import CompiledCall, CompiledProc, CompiledTransfer
 
     manager = checker.manager
-    var_of = [
-        2 * checker._slot(tuple_key(key)) + shadow for key, shadow in data["syms"]
-    ]
+    var_of = [2 * checker._slot(key) + shadow for key, shadow in data["syms"]]
     refs = [manager.false, manager.true]
+    tops = [_LEAF, _LEAF]  # refs[i]'s variable
     for sym, low_ref, high_ref in data["nodes"]:
-        refs.append(
-            manager.ite(manager.var(var_of[sym]), refs[high_ref], refs[low_ref])
-        )
+        var = var_of[sym]
+        if var < tops[low_ref] and var < tops[high_ref]:
+            node = manager._mk(var, refs[low_ref], refs[high_ref])
+        else:
+            node = manager.ite(manager.var(var), refs[high_ref], refs[low_ref])
+        refs.append(node)
+        tops.append(getattr(node, "var", _LEAF))
 
     def bdd(ref):
         return None if ref is None else refs[ref]
@@ -196,16 +207,6 @@ def deserialize_table(checker, data):
         else:
             table.transfers[uid] = (kind, bdd(spec["bdd"]))
     return table
-
-
-def tuple_key(key):
-    """Slot keys are (nested) tuples; pickle preserves them, but be
-    defensive about lists arriving from older/foreign records."""
-    if isinstance(key, list):
-        return tuple(tuple_key(part) for part in key)
-    if isinstance(key, tuple):
-        return tuple(tuple_key(part) for part in key)
-    return key
 
 
 class BebopTableStore:

@@ -27,6 +27,7 @@ identical antecedents differing just in temp identity may order either
 way across processes, causing a spurious miss, never a wrong hit.
 """
 
+import functools
 import hashlib
 import re
 
@@ -134,10 +135,17 @@ SEMANTIC_OPTION_FIELDS = (
 
 
 def options_fingerprint(options):
-    """A short digest of the semantically relevant option fields."""
-    parts = tuple(
-        (name, getattr(options, name, None)) for name in SEMANTIC_OPTION_FIELDS
-    )
+    """A short digest of the semantically relevant option fields, computed
+    once per distinct tuple of values."""
+    values = tuple(getattr(options, name, None) for name in SEMANTIC_OPTION_FIELDS)
+    return _fingerprint(values, tuple(map(type, values)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint(values, types):
+    # ``types`` only splits the memo: ``True == 1``, but the two digest
+    # differently.
+    parts = tuple(zip(SEMANTIC_OPTION_FIELDS, values))
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
 

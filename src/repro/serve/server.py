@@ -16,9 +16,11 @@ run, warm caches aside.  Compute is serialized through a single worker
 thread: concurrent clients multiplex on the event loop (connects, frame
 parsing, control ops stay responsive) while verification jobs queue.
 
-Control ops: ``ping``, ``stats`` (server counters + cache snapshots),
-``flush`` (drop the warm in-memory caches, keep the disk store), and
-``shutdown`` (reply, then exit cleanly).
+Control ops: ``ping``, ``stats`` (server counters, per-op compute times,
+the compute-queue depth, cache snapshots), ``flush`` (drop the warm
+in-memory caches -- the prover cache and the store's statement/enforce
+level -- and keep the disk store), and ``shutdown`` (reply, then exit
+cleanly).
 """
 
 import asyncio
@@ -27,6 +29,8 @@ import dataclasses
 import io
 import json
 import os
+import threading
+import time
 
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -63,6 +67,12 @@ class ReproServer:
         self.cache = self._fresh_cache()
         self.requests = 0
         self.op_counts = {}
+        # op -> {"requests", "total_s", "max_s"}: written by the compute
+        # thread, read by ``stats`` on the event loop, under the lock.
+        self.compute_times = {}
+        self._compute_times_lock = threading.Lock()
+        self.queue_depth = 0  # compute requests submitted, not yet answered
+        self.queue_peak = 0
         self.flushes = 0
         self._executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
         self._stop = None  # asyncio.Event, created inside the loop
@@ -94,7 +104,14 @@ class ReproServer:
             return getattr(self, "_op_" + op)(request)
         if op in _COMPUTE_OPS:
             loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._executor, self._run_job, request)
+            self.queue_depth += 1
+            self.queue_peak = max(self.queue_peak, self.queue_depth)
+            try:
+                return await loop.run_in_executor(
+                    self._executor, self._run_job, request
+                )
+            finally:
+                self.queue_depth -= 1
         return _error(op, "unknown op %r" % op)
 
     # -- control ops --------------------------------------------------------
@@ -109,6 +126,8 @@ class ReproServer:
             "protocol": PROTOCOL_VERSION,
             "requests": self.requests,
             "ops": dict(self.op_counts),
+            "compute": self._compute_snapshot(),
+            "queue": {"depth": self.queue_depth, "peak": self.queue_peak},
             "flushes": self.flushes,
             "prover_cache": self.cache.snapshot(),
             "persistent_cache": (
@@ -121,6 +140,8 @@ class ReproServer:
         later request re-promotes from it)."""
         dropped = self.cache.snapshot().get("entries", 0)
         self.cache = self._fresh_cache()
+        if self.store is not None:
+            dropped += self.store.reuse_level.clear()
         self.flushes += 1
         return {"ok": True, "op": "flush", "entries_dropped": dropped}
 
@@ -152,10 +173,24 @@ class ReproServer:
 
     def _run_job(self, request):
         op = request["op"]
+        started = time.perf_counter()
         try:
             return self._run_job_inner(op, request)
         except Exception as exc:  # a bad program must not kill the daemon
             return _error(op, "%s: %s" % (type(exc).__name__, exc))
+        finally:
+            seconds = time.perf_counter() - started
+            with self._compute_times_lock:
+                entry = self.compute_times.setdefault(
+                    op, {"requests": 0, "total_s": 0.0, "max_s": 0.0}
+                )
+                entry["requests"] += 1
+                entry["total_s"] += seconds
+                entry["max_s"] = max(entry["max_s"], seconds)
+
+    def _compute_snapshot(self):
+        with self._compute_times_lock:
+            return {op: dict(entry) for op, entry in self.compute_times.items()}
 
     def _run_job_inner(self, op, request):
         from repro.cli import run_abstract, run_check, run_slam

@@ -27,6 +27,8 @@ import os
 import pickle
 import tempfile
 
+from repro.analysis.reuse import ReuseLevel
+
 _MAGIC = b"RPCS"
 _RECORD_VERSION = 1
 _HEADER_LEN = len(_MAGIC) + 1 + 32
@@ -88,6 +90,9 @@ class PersistentStore:
         self.readonly = readonly
         self._total_bytes = None  # lazy: scanned on first capped put
         self._namespace_counts = {}  # namespace -> {"hits": n, "misses": n}
+        #: Decoded statement/enforce payloads above the disk
+        #: (:mod:`repro.serve.abscache`), kept for this object's lifetime.
+        self.reuse_level = ReuseLevel()
         for name in self.COUNTER_FIELDS:
             setattr(self, name, 0)
         if not readonly:
@@ -286,6 +291,7 @@ class PersistentStore:
         out["root"] = self.root
         out["readonly"] = self.readonly
         out["max_bytes"] = self.max_bytes
+        out["reuse_level"] = self.reuse_level.snapshot()
         return out
 
     def close(self):

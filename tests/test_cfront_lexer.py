@@ -1,8 +1,11 @@
 """Unit tests for the lexer."""
 
+import ast
+import os
+
 import pytest
 
-from repro.cfront import tokenize
+from repro.cfront import Lexer, tokenize
 from repro.cfront.errors import LexError
 from repro.cfront import tokens as T
 
@@ -133,3 +136,109 @@ def test_trailing_token_before_eof():
     toks = tokenize("x")
     assert toks[-1].kind == T.EOF
     assert toks[-2].text == "x"
+
+
+def test_malformed_octal_literal_raises_lex_error():
+    with pytest.raises(LexError) as info:
+        tokenize("x = 09;")
+    assert "malformed octal literal '09'" in info.value.message
+    assert (info.value.pos.line, info.value.pos.column) == (1, 5)
+
+
+# -- the regex tokenizer against the reference Lexer -------------------------
+
+
+def _reference(source):
+    """``Lexer.tokens()`` as comparable tuples, or the raised error."""
+    try:
+        return [
+            (t.kind, t.text, t.value, t.pos.line, t.pos.column)
+            for t in Lexer(source, "<diff>").tokens()
+        ]
+    except LexError as error:
+        return (type(error), error.message, error.pos)
+
+
+def _fast(source):
+    try:
+        return [
+            (t.kind, t.text, t.value, t.pos.line, t.pos.column)
+            for t in tokenize(source, "<diff>")
+        ]
+    except LexError as error:
+        return (type(error), error.message, error.pos)
+
+
+def _example_strings():
+    """Every string constant in ``examples/*.py``: the C sources, and
+    predicate files and prose that exercise the error paths."""
+    root = os.path.join(os.path.dirname(__file__), "..", "examples")
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+
+_ERROR_INPUTS = [
+    "/* open",
+    "a /* never closed",
+    "0x",
+    "0xg",
+    "09",
+    "x = 0779;",
+    "1abc",
+    "10u5",
+    "0x1Fg",
+    "'\\q'",
+    "'ab'",
+    "'",
+    '"unterminated',
+    '"bad \\q escape"',
+    "@",
+    "int $x;",
+    "a\n\t  @",
+]
+
+_LITERAL_INPUTS = [
+    "",
+    "  \n\r\n\f\v ",
+    "x = 0; y = 00; z = 017; w = 0x1fUL + 10lu - 7u;",
+    "c = 'a' + '\\n' + '\\0';\ns = \"line\\tone\";",
+    "#include <x.h>\n  int x; // tail\n/* a\n b */ y",
+    "a<<=b>>=c...d->e++--f",
+    '"multi\nline" x',
+]
+
+
+def _assert_same(source):
+    assert _fast(source) == _reference(source), source
+
+
+def test_tokenize_matches_lexer_on_corpus_programs():
+    from repro.programs import all_drivers, all_table2_programs
+
+    for study in list(all_drivers()) + list(all_table2_programs()):
+        _assert_same(study.source)
+
+
+def test_tokenize_matches_lexer_on_examples():
+    for text in _example_strings():
+        _assert_same(text)
+
+
+def test_tokenize_matches_lexer_on_generated_programs():
+    from repro.fuzz.gen import ProgramGenerator
+
+    for case in ProgramGenerator(seed=0, bit_weight=True).cases(300):
+        _assert_same(case.source)
+        _assert_same(case.predicate_text)
+
+
+@pytest.mark.parametrize("source", _ERROR_INPUTS + _LITERAL_INPUTS)
+def test_tokenize_matches_lexer_on_edge_inputs(source):
+    _assert_same(source)
+    _assert_same("int x;\n  " + source)

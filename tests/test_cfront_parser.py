@@ -335,3 +335,74 @@ def test_cast_expression():
     )
     stmt = prog.functions["f"].body[0]
     assert isinstance(stmt.rhs, C.Cast)
+
+
+# -- binary operators: precedence climbing ---------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.cfront.parser import _BINARY_LEVELS  # noqa: E402
+from repro.cfront.pretty import pretty_expr  # noqa: E402
+
+_LEVEL_OF = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+
+def test_binary_levels_cover_every_operator():
+    assert len(_BINARY_LEVELS) == 10
+    assert set(_LEVEL_OF) == C.BINARY_OPS
+
+
+@pytest.mark.parametrize("first", sorted(C.BINARY_OPS))
+def test_operator_pairs_group_by_level(first):
+    """``a op1 b op2 c`` groups left unless op2 binds tighter."""
+    for second in sorted(C.BINARY_OPS):
+        expr = parse_expression("a %s b %s c" % (first, second))
+        if _LEVEL_OF[second] > _LEVEL_OF[first]:
+            assert (expr.op, expr.right.op) == (first, second)
+            assert expr.right.pos.column == 4 + len(first)  # at "b"
+        else:
+            assert (expr.op, expr.left.op) == (second, first)
+            assert expr.left.pos.column == 1
+        assert expr.pos.column == 1
+
+
+def _binary_trees():
+    atoms = st.one_of(
+        st.sampled_from(["a", "b", "c", "d"]).map(C.Id),
+        st.integers(0, 9).map(C.IntLit),
+    )
+
+    def compound(children):
+        return st.one_of(
+            st.builds(
+                C.BinOp, st.sampled_from(sorted(C.BINARY_OPS)), children, children
+            ),
+            st.builds(C.UnOp, st.sampled_from(["-", "!"]), children),
+        )
+
+    return st.recursive(atoms, compound, max_leaves=12)
+
+
+def _leftmost_leaf(expr):
+    while isinstance(expr, C.BinOp):
+        expr = expr.left
+    return expr
+
+
+def _binops(expr):
+    if isinstance(expr, C.BinOp):
+        yield expr
+        yield from _binops(expr.left)
+        yield from _binops(expr.right)
+    elif isinstance(expr, C.UnOp):
+        yield from _binops(expr.operand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_trees())
+def test_binary_round_trip_and_positions(expr):
+    text = pretty_expr(expr)
+    reparsed = parse_expression(text)
+    assert reparsed == expr, (text, pretty_expr(reparsed))
+    for node in _binops(reparsed):
+        assert node.pos == node.left.pos == _leftmost_leaf(node).pos

@@ -245,3 +245,40 @@ def test_check_stats_json(partition_files, tmp_path):
     stats = json.loads(stats_file.read_text())
     assert stats["c2bp"]["prover_calls"] > 0
     assert "bebop" in stats and stats["bebop"]["worklist_steps"] > 0
+
+
+_BAD_SOURCES = [
+    # (source, line, column, message fragment): lexer, parser, type checker
+    ("void main() {\n  int x;\n  x = 09;\n}\n", 3, 7, "malformed octal literal '09'"),
+    ("void main() {\n  int x;\n  x = 1 +;\n}\n", 3, 10, "unexpected token ';'"),
+    ("void main() {\n  y = 1;\n}\n", 2, 3, "y"),
+]
+
+
+@pytest.mark.parametrize("source,line,column,fragment", _BAD_SOURCES)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["abstract", "{c}", "{preds}"],
+        ["check", "{c}", "{preds}"],
+        ["slam", "{c}", "--lock", "A", "R"],
+        ["bmc", "{c}"],
+    ],
+    ids=["abstract", "check", "slam", "bmc"],
+)
+def test_front_end_errors_are_reported_without_traceback(
+    tmp_path, command, source, line, column, fragment
+):
+    c_file = tmp_path / "bad.c"
+    c_file.write_text(source)
+    pred_file = tmp_path / "bad.preds"
+    pred_file.write_text("main\nx == 0\n")
+    argv = [
+        arg.format(c=str(c_file), preds=str(pred_file)) for arg in command
+    ]
+    code, output = run_cli(argv)
+    assert code == 2
+    prefix = "error: %s:%d:%d: " % (c_file, line, column)
+    assert output.startswith(prefix), output
+    assert fragment in output
+    assert output.count("\n") == 1

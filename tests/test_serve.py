@@ -190,6 +190,9 @@ def test_serve_round_trip_smoke(tmp_path):
             stats = client.stats()
             assert stats["ops"]["check"] == 2
             assert stats["persistent_cache"]["writes"] > 0
+            assert stats["compute"]["check"]["requests"] == 2
+            assert stats["queue"] == {"depth": 0, "peak": 1}
+            assert stats["persistent_cache"]["reuse_level"]["hits"] > 0
             flushed = client.flush()
             assert flushed["ok"] and flushed["entries_dropped"] > 0
             # Unknown and failing ops must not kill the daemon.
@@ -235,3 +238,170 @@ def test_remote_check_is_byte_identical_smoke(tmp_path, study_files):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+# -- the store's reuse level and the daemon's stats op ---------------------
+
+
+def _check_request(study):
+    return {
+        "op": "check",
+        "source": study.source,
+        "predicates": study.predicate_text,
+        "entry": study.entry,
+        "name": study.name,
+    }
+
+
+def _stmt_disk_reads(store):
+    counts = store.snapshot()["namespaces"].get("c2bp-stmt", {})
+    return counts.get("hits", 0) + counts.get("misses", 0)
+
+
+def test_smoke_reuse_level_outlives_requests(tmp_path):
+    """A repeated request is answered from the store's in-memory level
+    without reading a statement record from disk; after ``flush`` the same
+    request reads the disk again and prints the same bytes."""
+    from repro.serve.server import ReproServer
+
+    server = ReproServer(cache_dir=str(tmp_path / "cache"))
+    try:
+        request = _check_request(get_program("partition"))
+        cold = server._run_job(request)
+        assert cold["ok"] and cold["exit_code"] == 0
+        level = server.store.reuse_level
+        assert level.statements and level.enforce
+        reads, hits = _stmt_disk_reads(server.store), level.hits
+        warm = server._run_job(request)
+        assert warm["output"] == cold["output"]
+        assert _stmt_disk_reads(server.store) == reads
+        assert level.hits >= len(level.statements) + hits
+
+        entries = len(level.statements) + len(level.enforce)
+        flushed = server._op_flush({})
+        assert flushed["entries_dropped"] >= entries
+        assert not level.statements and not level.enforce
+        after = server._run_job(request)
+        assert after["output"] == cold["output"]
+        assert _stmt_disk_reads(server.store) > reads
+    finally:
+        server._executor.shutdown()
+
+
+def test_smoke_reuse_level_hits_are_private_copies(tmp_path):
+    """Neither the stored parts nor a fetched payload alias the level's
+    entry: mutating them does not change the next hit."""
+    from repro.boolprog import ast as B
+    from repro.serve import PersistentAbstractionReuse, PersistentStore
+
+    store = PersistentStore(str(tmp_path / "cache"))
+    options = C2bpOptions(jobs=1)
+    key = ("main", 0, 7, "x = 1;", (), ("p",), ("sig",), "live-off")
+    stmt = B.BAssign(["p"], [B.BConst(True)])
+    stmt.labels = ["L1"]
+    temps, meanings, counters = ["__t0"], [("__t0", None)], {"prover_calls": 3}
+    PersistentAbstractionReuse(store, options).store(
+        key, [stmt], temps, meanings, counters
+    )
+    stmt.labels.append("after-store")
+    temps.append("after-store")
+    counters["prover_calls"] = 0
+
+    def fetch():
+        return PersistentAbstractionReuse(store, options).fetch(key)
+
+    first = fetch()
+    first["stmts"][0].labels.append("mutated")
+    first["stmts"][0].targets[0] = "q"
+    first["temps"].append("mutated")
+    first["temp_meanings"].clear()
+    first["c2bp"]["prover_calls"] = 99
+    second = fetch()
+    assert second["stmts"][0].labels == ["L1"]
+    assert second["stmts"][0].targets == ["p"]
+    assert second["temps"] == ["__t0"]
+    assert second["temp_meanings"] == [("__t0", None)]
+    assert second["c2bp"] == {"prover_calls": 3}
+    assert second["stmts"][0] is not first["stmts"][0]
+    # Both fetches were level hits: the disk was never read.
+    assert _stmt_disk_reads(store) == 0
+    assert store.reuse_level.hits == 2
+
+
+def test_stats_op_counts_compute_requests_and_queue_depth(tmp_path):
+    import asyncio
+
+    from repro.serve.server import ReproServer
+
+    server = ReproServer(cache_dir=str(tmp_path / "cache"))
+    study = get_program("partition")
+    check = _check_request(study)
+    abstract = dict(check, op="abstract")
+    broken = {"op": "check", "source": "int main( {", "predicates": ""}
+
+    async def drive():
+        # Two concurrent frames: the second queues behind the first.
+        return await asyncio.gather(
+            server.respond([check, {"op": "ping"}, abstract]),
+            server.respond([check, broken]),
+        )
+
+    try:
+        replies = asyncio.run(drive())
+        assert [r["ok"] for r in replies[0] + replies[1]] == [
+            True, True, True, True, False
+        ]
+        stats = server._op_stats({})
+    finally:
+        server._executor.shutdown()
+    compute = stats["compute"]
+    assert {op: entry["requests"] for op, entry in compute.items()} == {
+        "check": 3, "abstract": 1
+    }
+    assert sum(e["requests"] for e in compute.values()) + 1 == stats["requests"]
+    assert stats["ops"] == {"check": 3, "ping": 1, "abstract": 1}
+    for entry in compute.values():
+        assert 0 < entry["max_s"] <= entry["total_s"]
+    assert stats["queue"] == {"depth": 0, "peak": 2}
+    level = stats["persistent_cache"]["reuse_level"]
+    assert level["statements"] > 0 and level["enforce"] > 0
+    assert level["hits"] > 0
+
+
+def test_stats_reads_race_compute_accounting():
+    """``stats`` on the event loop reads what the compute thread writes."""
+    import threading
+
+    from repro.serve.server import _COMPUTE_OPS, ReproServer
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            server = ReproServer()
+            errors = []
+            done = threading.Event()
+
+            def read():
+                while not done.is_set():
+                    try:
+                        server._op_stats({})
+                    except Exception as error:  # a lost race
+                        errors.append(error)
+                        return
+
+            reader = threading.Thread(target=read)
+            reader.start()
+            try:
+                for op in _COMPUTE_OPS * 3:
+                    assert not server._run_job({"op": op, "source": "@"})["ok"]
+            finally:
+                done.set()
+                reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert not errors
+            compute = server._op_stats({})["compute"]
+            total = sum(entry["requests"] for entry in compute.values())
+            assert total == 3 * len(_COMPUTE_OPS)
+    finally:
+        sys.setswitchinterval(interval)

@@ -25,6 +25,7 @@ from repro.serve import (
     query_store_key,
     statement_store_key,
 )
+from repro.serve.bebopcache import deserialize_table, serialize_table
 from repro.serve.keys import SEMANTIC_OPTION_FIELDS
 from repro.serve.store import decode_record, encode_record
 from repro.core import C2bpOptions
@@ -264,6 +265,27 @@ def test_options_fingerprint_tracks_semantic_fields_only():
         assert options_fingerprint(changed) != options_fingerprint(base), field
 
 
+def test_options_fingerprint_memo_follows_values_and_types():
+    import hashlib
+
+    def uncached(options):
+        parts = tuple(
+            (name, getattr(options, name, None)) for name in SEMANTIC_OPTION_FIELDS
+        )
+        return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
+
+    options = C2bpOptions()
+    assert options_fingerprint(options) == uncached(options)
+    options.skip_unchanged = not options.skip_unchanged  # mutated in place
+    assert options_fingerprint(options) == uncached(options)
+    # True == 1, but the two digest differently, and so must the memo.
+    as_int = C2bpOptions(compute_enforce=1)
+    as_bool = C2bpOptions(compute_enforce=True)
+    assert options_fingerprint(as_bool) == uncached(as_bool)
+    assert options_fingerprint(as_int) == uncached(as_int)
+    assert options_fingerprint(as_int) != options_fingerprint(as_bool)
+
+
 def test_keys_stable_across_hash_seeds():
     """The canonical texts must not depend on PYTHONHASHSEED — compute
     them in two subprocesses with different seeds and compare."""
@@ -286,3 +308,71 @@ def test_keys_stable_across_hash_seeds():
         )
         outputs.add(result.stdout)
     assert len(outputs) == 1
+
+
+# -- Bebop table rehydration -------------------------------------------------
+
+
+def _partition_checker_inputs():
+    from repro.core import C2bp, parse_predicate_file
+    from repro.cfront import parse_c_program
+    from repro.engine import EngineContext
+    from repro.programs import get_program
+
+    study = get_program("partition")
+    program = parse_c_program(study.source, name=study.name)
+    predicates = parse_predicate_file(study.predicate_text, program)
+    with EngineContext(options=C2bpOptions(jobs=1)) as context:
+        return C2bp(program, predicates, context=context).run(), study.entry
+
+
+def _assert_same_tables(loaded, compiled):
+    """Same BDD node objects, same variable plumbing."""
+    assert all(a is b for a, b in zip(loaded.iter_bdds(), compiled.iter_bdds()))
+    assert len(list(loaded.iter_bdds())) == len(list(compiled.iter_bdds()))
+    assert loaded.ent_vars == compiled.ent_vars
+    assert loaded.in_to_ent == compiled.in_to_ent
+    assert loaded.summary_locals == compiled.summary_locals
+    assert loaded.summary_map == compiled.summary_map
+    assert sorted(loaded.transfers) == sorted(compiled.transfers)
+
+
+def _rehydrate_into(checker, records):
+    before = checker.manager.ite_calls
+    for name, table in checker._compiled.items():
+        _assert_same_tables(deserialize_table(checker, records[name]), table)
+    return checker.manager.ite_calls - before
+
+
+def test_rehydrated_tables_are_the_fresh_compile_nodes():
+    from repro.bebop import Bebop
+
+    boolean_program, entry = _partition_checker_inputs()
+    source = Bebop(boolean_program, main=entry)
+    records = {
+        name: serialize_table(source, table)
+        for name, table in source._compiled.items()
+    }
+    # A fresh manager with the same preallocated slot order: every node
+    # goes straight into the unique table, without a single ite call.
+    fresh = Bebop(boolean_program, main=entry)
+    assert fresh.manager is not source.manager
+    assert _rehydrate_into(fresh, records) == 0
+
+
+def test_rehydration_falls_back_to_ite_when_the_order_breaks():
+    from repro.bebop import Bebop, BebopReuse
+
+    boolean_program, entry = _partition_checker_inputs()
+    source = Bebop(boolean_program, main=entry)
+    records = {
+        name: serialize_table(source, table)
+        for name, table in source._compiled.items()
+    }
+    # Reversed slot numbering: the record's variable order no longer
+    # holds, so rehydration must rebuild nodes with ite.
+    reuse = BebopReuse()
+    for key in reversed(list(source._slots)):
+        reuse.slots[key] = len(reuse.slots)
+    permuted = Bebop(boolean_program, main=entry, reuse=reuse)
+    assert _rehydrate_into(permuted, records) > 0
