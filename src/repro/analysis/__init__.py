@@ -15,14 +15,25 @@ clients (see ``docs/ANALYSIS.md``):
 - :mod:`repro.analysis.reuse` — cross-iteration statement-abstraction
   cache keyed on the mod/ref closures.
 
-:class:`ProgramAnalyses` bundles the per-run state; C2bp builds one when
-``options.use_analysis`` holds.  :class:`AnalysisStats` is shared across
-a whole engine context (via :func:`ensure_analysis_stats`) so the CEGAR
-loop can report per-iteration deltas.
+Facts live as long as their inputs do.  :class:`ProgramFacts` holds what
+the lowered program alone determines (points-to, CFGs, mod/ref); one
+serves every C2bp run on that program, so a CEGAR loop builds them once.
+It also memoizes, per predicate set, the signatures and the
+:class:`ProgramAnalyses` (liveness, touch oracles, statement keys) that
+C2bp builds when ``options.use_analysis`` holds.  :func:`memoized_program`
+keeps a program and its facts on a persistent store's reuse level, so a
+warm daemon builds them once per program text.  :class:`AnalysisStats`
+is shared across a whole engine context (via
+:func:`ensure_analysis_stats`) so the CEGAR loop can report
+per-iteration deltas.
 """
+
+import collections
+import hashlib
 
 from repro.cfront.cfg import build_program_cfgs
 from repro.cfront.pretty import pretty_stmt
+from repro.pointers import PointsToAnalysis
 
 from repro.analysis.framework import BACKWARD, FORWARD, CallGraph, DataflowAnalysis
 from repro.analysis.modref import (
@@ -50,6 +61,7 @@ __all__ = [
     "LivePredicates",
     "ModRefSummaries",
     "ProgramAnalyses",
+    "ProgramFacts",
     "TouchOracle",
     "WILDCARD",
     "eliminate_dead_variables",
@@ -57,6 +69,7 @@ __all__ = [
     "enforce_variable_names",
     "interval_candidate_predicates",
     "location_keyset",
+    "memoized_program",
 ]
 
 
@@ -97,32 +110,156 @@ def ensure_analysis_stats(context):
     return stats
 
 
-class ProgramAnalyses:
-    """Per-abstraction-run static facts, shared by every consumer.
+class ProgramFacts:
+    """The facts one lowered program determines, built once and lazily.
 
-    Built once per C2bp run (facts depend on the predicate set, which
-    grows across CEGAR iterations).  Everything heavier than the flag
-    checks is computed lazily: a run that never asks for mod/ref
-    summaries never builds them.
+    Points-to, the CFGs and mod/ref depend on the program alone, so every
+    C2bp run on it shares them.  Signatures and :class:`ProgramAnalyses`
+    also depend on the predicate set; :meth:`abstraction_inputs` memoizes
+    them per set, so re-abstracting a program under predicates it has
+    seen before (a resubmission to a warm daemon) skips liveness and
+    statement keys too.
+
+    The program is read, never written: a memoized program is shared by
+    every later request for the same text.  Facts stay off ``Program``
+    itself, so pickling a program for the worker pool never drags them
+    along.
     """
 
-    def __init__(self, program, predicates, signatures, options, points_to, stats):
+    #: Predicate-set entries kept per program, least recently used first
+    #: out.  A CEGAR loop adds one per iteration.
+    ANALYSES_CAPACITY = 16
+
+    def __init__(self, program, on_evict=None):
+        self.program = program
+        self._on_evict = on_evict  # called when a predicate-set entry goes
+        self._points_to = None
+        self._cfgs = None
+        self._modref = None
+        self._inputs = collections.OrderedDict()
+
+    @property
+    def points_to(self):
+        if self._points_to is None:
+            self._points_to = PointsToAnalysis(self.program)
+        return self._points_to
+
+    @property
+    def cfgs(self):
+        if self._cfgs is None:
+            self._cfgs = build_program_cfgs(self.program)
+        return self._cfgs
+
+    @property
+    def modref(self):
+        if self._modref is None:
+            self._modref = ModRefSummaries(self.program, points_to=self.points_to)
+        return self._modref
+
+    def abstraction_inputs(self, predicates, options, stats):
+        """``(signatures, analyses)`` for one C2bp run; ``analyses`` is
+        None unless ``options.use_analysis`` holds.
+
+        Keyed by the translation-relevant option values and the ordered
+        ``(scope, name)`` of every predicate (a name is the predicate's
+        printed expression).  An entry keeps a snapshot of the set, since
+        the CEGAR loop grows its own set in place, and its counters go to
+        ``stats``: the caller's context, not the one that built it.
+        """
+        # Imported here: repro.core imports this package.
+        from repro.core.options import SEMANTIC_OPTION_FIELDS
+        from repro.core.signatures import compute_signatures
+
+        key = (
+            tuple(getattr(options, name, None) for name in SEMANTIC_OPTION_FIELDS),
+            tuple((p.scope, p.name) for p in predicates.all_predicates()),
+        )
+        entry = self._inputs.get(key)
+        if entry is None:
+            snapshot = predicates.copy()
+            signatures = compute_signatures(self.program, snapshot)
+            analyses = None
+            if getattr(options, "use_analysis", True):
+                analyses = ProgramAnalyses(
+                    self.program, snapshot, signatures, options, self, stats
+                )
+            entry = (signatures, analyses)
+            self._inputs[key] = entry
+            if len(self._inputs) > self.ANALYSES_CAPACITY:
+                self._inputs.popitem(last=False)
+                if self._on_evict is not None:
+                    self._on_evict()
+        else:
+            self._inputs.move_to_end(key)
+            if entry[1] is not None:
+                entry[1].attach(stats)
+        return entry
+
+
+def memoized_program(context, source, build, *key):
+    """``(program, facts)`` for the program ``build()`` lowers from
+    ``source``.
+
+    Without a persistent store on ``context`` this builds both afresh.
+    With one, the pair is looked up on the store's reuse level by the
+    source's digest plus ``key`` (whatever else ``build`` reads), and a
+    text seen twice is kept there for later requests: the program is then
+    shared and must never be mutated.
+    """
+
+    store = getattr(context, "store", None)
+    if store is None:
+        program = build()
+        return program, ProgramFacts(program)
+    level = store.reuse_level
+
+    def build_entry():
+        program = build()
+        return program, ProgramFacts(program, on_evict=level.count_eviction)
+
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    return level.program((digest,) + key, build_entry)
+
+
+class ProgramAnalyses:
+    """The static facts for one (program, predicate set, options) triple,
+    shared by every consumer.
+
+    :meth:`ProgramFacts.abstraction_inputs` builds one per distinct
+    predicate set and keeps it for later C2bp runs on the same program,
+    so liveness and statement keys are solved once per set; the
+    program-only facts (CFGs, mod/ref, points-to) come from the
+    :class:`ProgramFacts`.  Everything heavier than the flag checks is
+    computed lazily: a run that never asks for mod/ref summaries never
+    builds them.  ``predicates`` is a snapshot, never the caller's set.
+    """
+
+    def __init__(self, program, predicates, signatures, options, facts, stats):
         self.program = program
         self.predicates = predicates
         self.signatures = signatures
         self.options = options
-        self.points_to = points_to
+        self.facts = facts
+        self.points_to = facts.points_to
         self.stats = stats
         self.live_enabled = bool(getattr(options, "live_predicates", True))
         self.intervals_enabled = bool(getattr(options, "intervals", True))
         self.discharger = (
             IntervalDischarger(stats) if self.intervals_enabled else None
         )
-        self._cfgs = None
-        self._modref = None
         self._touchers = {}
         self._keysets = {}  # predicate name -> location keyset
         self._liveness = {}  # func name -> LivePredicates
+        self._statement_keys = {}  # (func name, index) -> statement key
+
+    def attach(self, stats):
+        """Send every counter from here on to ``stats`` (the context of
+        the run now using these facts)."""
+        self.stats = stats
+        if self.discharger is not None:
+            self.discharger.stats = stats
+        for oracle in self._touchers.values():
+            oracle.stats = stats
 
     # -- shared building blocks -------------------------------------------------
 
@@ -147,15 +284,11 @@ class ProgramAnalyses:
 
     @property
     def cfgs(self):
-        if self._cfgs is None:
-            self._cfgs = build_program_cfgs(self.program)
-        return self._cfgs
+        return self.facts.cfgs
 
     @property
     def modref(self):
-        if self._modref is None:
-            self._modref = ModRefSummaries(self.program, points_to=self.points_to)
-        return self._modref
+        return self.facts.modref
 
     # -- live predicates --------------------------------------------------------
 
@@ -233,7 +366,16 @@ class ProgramAnalyses:
 
     def statement_key(self, func, index, stmt):
         """A cache key covering everything the statement's translation
-        reads; equal keys guarantee byte-identical translated parts."""
+        reads; equal keys guarantee byte-identical translated parts.
+        Computed once per statement: call it after
+        :meth:`compute_liveness` has run for ``func``."""
+        key = self._statement_keys.get((func.name, index))
+        if key is None:
+            key = self._statement_key(func, index, stmt)
+            self._statement_keys[(func.name, index)] = key
+        return key
+
+    def _statement_key(self, func, index, stmt):
         scope = self.predicates.in_scope(func.name)
         relevant = self.relevant_names(func.name, stmt)
         if relevant is None:

@@ -501,11 +501,15 @@ class IntervalDischarger:
     antecedents are contradictory (the cube is unsatisfiable) or when
     they force the goal's linear form to its satisfying range.
 
-    One instance serves a whole C2bp run, whose cube decisions reuse the
-    same few candidate literals and goals over and over.  The work that
-    depends on an expression alone — folding, gathering an antecedent's
-    constraints, compiling a goal — is memoized per expression, so a
-    decision only propagates bounds and checks the goal against them.
+    One instance lives as long as its ``ProgramAnalyses`` entry (one
+    predicate set of one program): every C2bp run on that pair, across
+    CEGAR iterations and daemon requests, shares it, and its cube
+    decisions reuse the same few candidate literals and goals over and
+    over.  ``ProgramAnalyses.attach`` retargets ``stats`` to the run
+    using it now.  The work that depends on an expression alone —
+    folding, gathering an antecedent's constraints, compiling a goal —
+    is memoized per expression, so a decision only propagates bounds and
+    checks the goal against them.
     """
 
     passes = 4

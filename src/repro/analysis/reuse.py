@@ -18,7 +18,33 @@ identical to a serial translation.  Cached parts are cloned once on
 store and once per hit, because assembly renames statement nodes in place.
 """
 
+import collections
+import threading
+
 from repro.boolprog import ast as B
+
+# Both bounds below are sized on the ``serve-edit-loop`` benchmark, whose
+# traffic (60 % resubmissions of 18 texts, 40 % one-off edits) is an
+# assumed mix, not a measured one.  The measurements are in
+# docs/PERFORMANCE.md, "Program facts, the program memo and the frozen
+# heap".
+
+#: Programs a reuse level keeps (with their facts), least recently used
+#: first out.  It must hold the resubmitted set: with 16 slots for that
+#: benchmark's 18 texts the memo thrashes (30 evictions a round, each a
+#: thaw and full collection in a daemon), from 24 up it never evicts;
+#: 32 leaves headroom.
+PROGRAM_CAPACITY = 32
+
+#: Program keys a reuse level remembers having built once: a key is
+#: admitted to the program memo on its second sighting, so one-off
+#: texts (an edit submitted once) never displace a resubmitted one or
+#: cost an eviction.  Admitting on first sighting made that benchmark's
+#: rounds 2.5x slower at this ``PROGRAM_CAPACITY``, or 2.4x the memory
+#: with room for every text.  A round there sees about 220 distinct
+#: texts, so this bound is never reached; it only caps the set's size
+#: in a long-lived daemon.
+SEEN_ONCE_CAPACITY = 1024
 
 
 def clone_stmts(stmts):
@@ -59,19 +85,67 @@ class ReuseLevel:
 
     A plain :class:`AbstractionReuse` owns one for one CEGAR loop; the
     store-backed subclass shares the one on its persistent store, so there
-    it lives as long as the store object does.
+    it lives as long as the store object does.  That level also memoizes
+    lowered programs with their facts (:meth:`program`), so a daemon that
+    sees a text again skips its front end and analyses.
     """
 
     def __init__(self):
         self.statements = {}  # key -> payload
         self.enforce = {}  # key -> enforce expr (possibly None)
         self.hits = 0
+        self.programs = collections.OrderedDict()  # key -> (program, facts)
+        self._seen_once = collections.OrderedDict()  # key -> True
+        self.program_hits = 0
+        self.program_admissions = 0
+        #: Memo entries dropped so far: programs, and the per-predicate-set
+        #: analyses of memoized programs (:meth:`count_eviction`).  A
+        #: daemon reads it to learn that warm state was let go.
+        self.program_evictions = 0
+        # A daemon's flush clears the memo from the event loop while the
+        # compute thread may be inside program().
+        self._programs_lock = threading.Lock()
+
+    def program(self, key, build):
+        """The ``(program, facts)`` entry for ``key``, from the memo or
+        from ``build()``.  A built entry is admitted on the key's second
+        sighting; the caller must treat an entry as read-only either
+        way."""
+        with self._programs_lock:
+            entry = self.programs.get(key)
+            if entry is not None:
+                self.programs.move_to_end(key)
+                self.program_hits += 1
+                return entry
+        entry = build()
+        with self._programs_lock:
+            if self._seen_once.pop(key, False):
+                self.programs[key] = entry
+                self.program_admissions += 1
+                if len(self.programs) > PROGRAM_CAPACITY:
+                    self.programs.popitem(last=False)
+                    self.program_evictions += 1
+            else:
+                self._seen_once[key] = True
+                if len(self._seen_once) > SEEN_ONCE_CAPACITY:
+                    self._seen_once.popitem(last=False)
+        return entry
+
+    def count_eviction(self):
+        """Note that a memoized program's facts dropped an entry."""
+        with self._programs_lock:
+            self.program_evictions += 1
 
     def clear(self):
         """Empty the level; returns how many entries it dropped."""
-        dropped = len(self.statements) + len(self.enforce)
-        self.statements.clear()
-        self.enforce.clear()
+        with self._programs_lock:
+            dropped = (
+                len(self.statements) + len(self.enforce) + len(self.programs)
+            )
+            self.statements.clear()
+            self.enforce.clear()
+            self.programs.clear()
+            self._seen_once.clear()
         return dropped
 
     def snapshot(self):
@@ -79,6 +153,10 @@ class ReuseLevel:
             "statements": len(self.statements),
             "enforce": len(self.enforce),
             "hits": self.hits,
+            "programs": len(self.programs),
+            "program_hits": self.program_hits,
+            "program_admissions": self.program_admissions,
+            "program_evictions": self.program_evictions,
         }
 
 

@@ -23,6 +23,7 @@ Every subcommand accepts ``--stats-json PATH`` (the unified
 import argparse
 import sys
 
+from repro.analysis import memoized_program
 from repro.bebop import Bebop
 from repro.boolprog import parse_bool_program, print_bool_program
 from repro.cfront import CFrontError, parse_c_program
@@ -276,10 +277,18 @@ def _write_instrumentation(args, context):
 # exactly these functions.
 
 
+def _program(context, source, name):
+    """The lowered program and its facts (memoized on the context's
+    store, when it has one: read-only from here on)."""
+    return memoized_program(
+        context, source, lambda: parse_c_program(source, name=name), "c", name
+    )
+
+
 def run_abstract(context, source, predicates_text, out, name="<input>"):
-    program = parse_c_program(source, name=name)
+    program, facts = _program(context, source, name)
     predicates = parse_predicate_file(predicates_text, program)
-    tool = C2bp(program, predicates, context=context)
+    tool = C2bp(program, predicates, context=context, facts=facts)
     boolean_program = tool.run()
     out.write(print_bool_program(boolean_program))
     out.write(
@@ -293,9 +302,9 @@ def run_check(
     context, source, predicates_text, out, name="<input>", entry="main",
     labels=(), bp_dce=True,
 ):
-    program = parse_c_program(source, name=name)
+    program, facts = _program(context, source, name)
     predicates = parse_predicate_file(predicates_text, program)
-    tool = C2bp(program, predicates, context=context)
+    tool = C2bp(program, predicates, context=context, facts=facts)
     boolean_program = tool.run()
     # Labeled invariant queries observe every predicate, so DCE only
     # applies to plain reachability checks.

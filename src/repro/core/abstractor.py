@@ -36,12 +36,10 @@ are identical to a serial run.
 from repro.cfront import cast as C
 from repro.cfront.pretty import pretty_stmt
 from repro.boolprog import ast as B
-from repro.pointers import PointsToAnalysis
-from repro.analysis import ProgramAnalyses, TouchOracle, ensure_analysis_stats
+from repro.analysis import ProgramFacts, TouchOracle, ensure_analysis_stats
 from repro.analysis.modref import location_keyset
 from repro.core.calls import abstract_call
 from repro.core.cubes import CubeSearch
-from repro.core.signatures import compute_signatures
 from repro.core.stats import C2bpStats, Timer
 from repro.engine import EngineContext
 from repro.prover import cnf as cnf_module
@@ -74,7 +72,7 @@ class C2bp:
         predicates,
         options=None,
         prover=None,
-        points_to=None,
+        facts=None,
         context=None,
         reuse=None,
     ):
@@ -87,18 +85,19 @@ class C2bp:
         self.predicates = predicates
         self.options = self.context.options
         self.prover = self.context.prover
-        self.points_to = points_to or PointsToAnalysis(program)
-        self.signatures = compute_signatures(program, predicates)
-        self.analysis = None
-        if getattr(self.options, "use_analysis", True):
-            self.analysis = ProgramAnalyses(
-                program,
-                predicates,
-                self.signatures,
-                self.options,
-                self.points_to,
-                ensure_analysis_stats(self.context),
-            )
+        # The program's facts outlive this run when the caller hands them
+        # in (one CEGAR loop, one warm daemon program): points-to, CFGs
+        # and mod/ref, plus the signatures and analyses of predicate sets
+        # seen before.
+        self.facts = facts if facts is not None else ProgramFacts(program)
+        self.points_to = self.facts.points_to
+        self.signatures, self.analysis = self.facts.abstraction_inputs(
+            predicates,
+            self.options,
+            ensure_analysis_stats(self.context)
+            if getattr(self.options, "use_analysis", True)
+            else None,
+        )
         # Cross-iteration statement-abstraction cache (CEGAR hands one
         # in); only the serial path consults it.
         self.reuse = reuse if self.analysis is not None else None
@@ -499,8 +498,9 @@ class _ProcedureAbstractor:
         if analysis is not None:
             self._toucher = analysis.toucher(func.name)
             # Solved facts if liveness already ran for this procedure
-            # (reuse and parallel paths solve it up front); the serial
-            # path fills this in from abstract() once Ω is known.
+            # (reuse and parallel paths solve it up front, and a memoized
+            # predicate set keeps them); the serial path fills this in
+            # from abstract() once Ω is known.
             self._liveness = analysis.liveness(func.name)
         else:
             self._toucher = TouchOracle(self._may_alias)

@@ -8,6 +8,30 @@ the configuration the paper reports results with.
 import dataclasses
 
 
+#: The :class:`C2bpOptions` fields a statement's translation (and its
+#: enforce invariant, and the analyses behind both) can read: the fields
+#: that key every cache of translation inputs and outputs.  Deliberately
+#: excludes the answer-invisible knobs — ``strengthen``,
+#: ``incremental_cubes``, ``theory_incremental``, ``cache_prover``,
+#: ``jobs``, the Bebop engine selection, ``bp_dce`` (a post-pass),
+#: ``validate_output``, and the cache wiring itself — so configurations
+#: that provably print the same bytes share entries.
+SEMANTIC_OPTION_FIELDS = (
+    "max_cube_length",
+    "cone_of_influence",
+    "skip_unchanged",
+    "syntactic_heuristics",
+    "distribute_f",
+    "compute_enforce",
+    "enforce_cube_length",
+    "use_alias_analysis",
+    "invalidate_constant_derefs",
+    "use_analysis",
+    "live_predicates",
+    "intervals",
+)
+
+
 @dataclasses.dataclass
 class C2bpOptions:
     #: Maximum cube length considered by the F/G search.  The paper

@@ -125,6 +125,16 @@ class PredicateSet:
     def __len__(self):
         return len(self.all_predicates())
 
+    def copy(self):
+        """A snapshot: later :meth:`add` calls on either set leave the
+        other alone (the predicates themselves are shared)."""
+        snapshot = PredicateSet()
+        snapshot.globals = list(self.globals)
+        snapshot.by_procedure = {
+            name: list(bucket) for name, bucket in self.by_procedure.items()
+        }
+        return snapshot
+
     def merged_with(self, other):
         merged = PredicateSet(self.all_predicates())
         for predicate in other.all_predicates():

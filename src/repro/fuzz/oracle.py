@@ -10,9 +10,10 @@ For one :class:`repro.fuzz.gen.FuzzCase` the oracle checks, in order:
    ``--no-incremental`` baseline, between the ``allsat`` and ``cubes``
    strengthening strategies, between the incremental theory engine and
    the ``--no-theory-incremental`` stateless checker, between the
-   uncached pipeline and a cold then warm content-addressed
-   ``--cache-dir`` store (which must also preserve the model-checking
-   verdict through the compiled-table round trip), and (on a
+   uncached pipeline and a cold, a warm and a repeated (same store
+   object, same program facts: the in-memory memo hits)
+   content-addressed ``--cache-dir`` store (which must also preserve the
+   model-checking verdict through the compiled-table round trip), and (on a
    configurable stride, since a fork pool per case is costly) between
    ``--jobs 1`` and ``--jobs 2``;
 3. **Engine agreement** — Bebop's compiled fast path and the
@@ -43,6 +44,7 @@ Any deviation is reported as a :class:`CaseReport` with a stable failure
 
 import random
 
+from repro.analysis import ProgramFacts
 from repro.bebop import Bebop, ExplicitEngine
 from repro.boolprog.printer import print_bool_program
 from repro.boolprog.validate import ValidationError
@@ -147,11 +149,14 @@ class SoundnessOracle:
             predicates = parse_predicate_file(case.predicate_text, program)
         except (CFrontError, PredicateParseError) as error:
             return report.fail(KIND_GENERATOR, str(error))
+        # One set of program facts serves every abstraction below, as one
+        # serves every iteration of a CEGAR loop.
+        facts = ProgramFacts(program)
 
         # 1+2. Abstraction under the default config, validated.
         try:
             tool, boolean_program = self._abstract(
-                program, predicates, self.make_options(validate_output=True)
+                facts, predicates, self.make_options(validate_output=True)
             )
         except ValidationError as error:
             return report.fail(KIND_INVALID_BP, str(error))
@@ -163,7 +168,7 @@ class SoundnessOracle:
         # Checked before the fresh baseline so a catalog bug is reported
         # as strengthen-divergence, not generic abstraction-divergence.
         _, cubes_bp = self._abstract(
-            program, predicates,
+            facts, predicates,
             self.make_options(validate_output=True, strengthen="cubes"),
         )
         cubes_printed = print_bool_program(cubes_bp)
@@ -179,7 +184,7 @@ class SoundnessOracle:
         # session-cache bug is reported as theory-divergence, not generic
         # abstraction-divergence.
         _, stateless_bp = self._abstract(
-            program, predicates,
+            facts, predicates,
             self.make_options(validate_output=True, theory_incremental=False),
         )
         stateless_printed = print_bool_program(stateless_bp)
@@ -190,7 +195,7 @@ class SoundnessOracle:
                 "differ:\n" + _first_diff(printed, stateless_printed),
             )
         baseline_tool, baseline_bp = self._abstract(
-            program, predicates,
+            facts, predicates,
             # strengthen="cubes" so incremental_cubes=False actually
             # bites (the allsat strategy always runs incrementally).
             self.make_options(
@@ -209,7 +214,7 @@ class SoundnessOracle:
         jobs = self.check_jobs if check_jobs is None else check_jobs
         if jobs:
             _, jobs_bp = self._abstract(
-                program, predicates,
+                facts, predicates,
                 self.make_options(validate_output=True, jobs=2),
             )
             jobs_printed = print_bool_program(jobs_bp)
@@ -224,7 +229,7 @@ class SoundnessOracle:
         # 2.4. Persistent-cache differential: a cold store population and
         # a warm reload must both print the uncached bytes and reach the
         # uncached verdict (pins the content-addressed keys as sound).
-        cache_failure = self._check_cache(case, program, predicates, printed, report)
+        cache_failure = self._check_cache(case, facts, predicates, printed, report)
         if cache_failure is not None:
             return cache_failure
 
@@ -232,7 +237,7 @@ class SoundnessOracle:
         # byte-level no-op, and the pruning passes must preserve the
         # model-checking verdict and failure sites.
         analysis_failure = self._check_analysis(
-            case, program, predicates, boolean_program, report
+            case, facts, predicates, boolean_program, report
         )
         if analysis_failure is not None:
             return analysis_failure
@@ -250,25 +255,34 @@ class SoundnessOracle:
         # 5. Theorem-1 trace inclusion.
         return self._check_replay(case, program, predicates, tool, boolean_program, report)
 
-    def _abstract(self, program, predicates, options):
+    def _abstract(self, facts, predicates, options, store=None):
         # The context is closed on exit so a --jobs config cannot leak its
         # worker pool across cases.
-        with EngineContext(options=options) as context:
-            tool = C2bp(program, predicates, context=context)
+        with EngineContext(options=options, store=store) as context:
+            tool = C2bp(facts.program, predicates, context=context, facts=facts)
             return tool, tool.run()
 
-    def _check_cache(self, case, program, predicates, printed, report):
+    def _check_cache(self, case, facts, predicates, printed, report):
         import shutil
         import tempfile
 
         cache_dir = tempfile.mkdtemp(prefix="repro-fuzz-cache-")
         try:
             uncached_run = None
-            for label in ("cold", "warm"):
+            store = None
+            # cold populates the store, warm reads it back through a new
+            # store object, and repeat reuses the warm pass's object: its
+            # reuse level answers from memory, and the same program's
+            # facts answer from their predicate-set memo.
+            for label in ("cold", "warm", "repeat"):
                 options = self.make_options(
                     validate_output=True, cache_dir=cache_dir
                 )
-                _, cached_bp = self._abstract(program, predicates, options)
+                tool, cached_bp = self._abstract(
+                    facts, predicates, options,
+                    store if label == "repeat" else None,
+                )
+                store = tool.context.store
                 cached_printed = print_bool_program(cached_bp)
                 if cached_printed != printed:
                     return report.fail(
@@ -280,7 +294,7 @@ class SoundnessOracle:
                     uncached_run = Bebop(cached_bp, main=case.entry).run()
                 # Model check through the store too: verdicts and failure
                 # sites must survive the compiled-table round trip.
-                with EngineContext(options=options) as context:
+                with EngineContext(options=options, store=store) as context:
                     cached_run = Bebop(
                         cached_bp, main=case.entry, context=context
                     ).run()
@@ -305,11 +319,11 @@ class SoundnessOracle:
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
 
-    def _check_analysis(self, case, program, predicates, boolean_program, report):
+    def _check_analysis(self, case, facts, predicates, boolean_program, report):
         from repro.analysis import eliminate_dead_variables
 
         _, off_bp = self._abstract(
-            program, predicates,
+            facts, predicates,
             self.make_options(validate_output=True, use_analysis=False),
         )
         off_printed = print_bool_program(off_bp)
@@ -317,7 +331,7 @@ class SoundnessOracle:
         # pass off must be byte-identical to the pre-analysis pipeline
         # (pins the memoized cone/touch rewrite as a pure optimization).
         _, identity_bp = self._abstract(
-            program, predicates,
+            facts, predicates,
             self.make_options(
                 validate_output=True,
                 live_predicates=False,

@@ -33,6 +33,7 @@ import re
 
 from repro.cfront.exprutils import fold_constants
 from repro.cfront.pretty import pretty_expr
+from repro.core.options import SEMANTIC_OPTION_FIELDS
 
 #: Bump when any record layout or key scheme changes: old entries then
 #: simply stop matching (a cold run repopulates the store).
@@ -109,29 +110,6 @@ def query_store_key(key):
     """
     kind, exprs, consequent = key
     return _digest_text("prover", canonical_query_text(kind, exprs, consequent))
-
-
-#: The :class:`repro.core.options.C2bpOptions` fields a statement's
-#: translation (and enforce invariant) can read.  Deliberately excludes
-#: the answer-invisible knobs — ``strengthen``, ``incremental_cubes``,
-#: ``theory_incremental``, ``cache_prover``, ``jobs``, the Bebop engine
-#: selection, ``bp_dce`` (a post-pass), ``validate_output``, and the
-#: cache wiring itself — so configurations that provably print the same
-#: bytes share statement entries.
-SEMANTIC_OPTION_FIELDS = (
-    "max_cube_length",
-    "cone_of_influence",
-    "skip_unchanged",
-    "syntactic_heuristics",
-    "distribute_f",
-    "compute_enforce",
-    "enforce_cube_length",
-    "use_alias_analysis",
-    "invalidate_constant_derefs",
-    "use_analysis",
-    "live_predicates",
-    "intervals",
-)
 
 
 def options_fingerprint(options):

@@ -16,16 +16,28 @@ run, warm caches aside.  Compute is serialized through a single worker
 thread: concurrent clients multiplex on the event loop (connects, frame
 parsing, control ops stay responsive) while verification jobs queue.
 
+The warm state -- the prover cache, the store's statement level and its
+memo of lowered programs with their analyses -- outlives every request,
+so after each compute request the daemon collects the request's garbage
+and freezes what survives (:func:`gc.freeze`): later full collections
+scan only the objects younger than that, not the whole warm heap.
+This module alone decides when to thaw (:func:`gc.unfreeze`): ``flush``
+thaws before it drops the warm state, so the next request's collection
+reclaims it, and a request during which the store's reuse level counted
+an eviction (a program, or a memoized program's per-predicate-set
+analyses) thaws before its own collection.
+
 Control ops: ``ping``, ``stats`` (server counters, per-op compute times,
-the compute-queue depth, cache snapshots), ``flush`` (drop the warm
-in-memory caches -- the prover cache and the store's statement/enforce
-level -- and keep the disk store), and ``shutdown`` (reply, then exit
-cleanly).
+the compute-queue depth, cache snapshots, collector state), ``flush``
+(drop the warm in-memory caches -- the prover cache and the store's
+statement/enforce/program level -- and keep the disk store), and
+``shutdown`` (reply, then exit cleanly).
 """
 
 import asyncio
 import concurrent.futures
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -133,11 +145,20 @@ class ReproServer:
             "persistent_cache": (
                 self.store.snapshot() if self.store is not None else None
             ),
+            "gc": {
+                "frozen": gc.get_freeze_count(),
+                "collections": [
+                    generation["collections"] for generation in gc.get_stats()
+                ],
+            },
         }
 
     def _op_flush(self, request):
         """Drop the warm in-memory caches; the disk store stays intact (a
         later request re-promotes from it)."""
+        # Thaw the warm heap, so the next request's collection reclaims
+        # what this drops.
+        gc.unfreeze()
         dropped = self.cache.snapshot().get("entries", 0)
         self.cache = self._fresh_cache()
         if self.store is not None:
@@ -171,14 +192,27 @@ class ReproServer:
             options.jobs = 1
         return options
 
+    def _memo_evictions(self):
+        store = self.store
+        return store.reuse_level.program_evictions if store is not None else 0
+
     def _run_job(self, request):
         op = request["op"]
         started = time.perf_counter()
+        evictions = self._memo_evictions()
         try:
             return self._run_job_inner(op, request)
         except Exception as exc:  # a bad program must not kill the daemon
             return _error(op, "%s: %s" % (type(exc).__name__, exc))
         finally:
+            # The request's garbage goes now; what survives joins the
+            # frozen warm heap that later collections skip.  Memo entries
+            # evicted during the request may sit in that heap, so thaw it
+            # first and this collection reclaims them too.
+            if self._memo_evictions() != evictions:
+                gc.unfreeze()
+            gc.collect()
+            gc.freeze()
             seconds = time.perf_counter() - started
             with self._compute_times_lock:
                 entry = self.compute_times.setdefault(
@@ -304,6 +338,7 @@ class ReproServer:
                 server.close()
                 await server.wait_closed()
             self._executor.shutdown(wait=True)
+            gc.unfreeze()  # an in-process server leaves its host's heap thawed
             if self.socket_path and os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
             if self.store is not None:

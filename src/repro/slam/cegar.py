@@ -20,6 +20,7 @@ import time
 
 from repro.analysis import (
     AbstractionReuse,
+    ProgramFacts,
     eliminate_dead_variables,
     ensure_analysis_stats,
 )
@@ -222,11 +223,19 @@ def cegar_loop(
     options=None,
     prover=None,
     context=None,
+    facts=None,
 ):
-    """Run abstraction/check/refine until a verdict or the bound."""
+    """Run abstraction/check/refine until a verdict or the bound.
+
+    ``facts`` is the program's :class:`repro.analysis.ProgramFacts` when
+    the caller keeps one (a warm daemon does); otherwise the loop builds
+    its own, once for all iterations."""
     ctx = EngineContext.ensure(context, options=options, prover=prover)
     try:
-        return _cegar_loop(program, initial_predicates, main, max_iterations, ctx)
+        return _cegar_loop(
+            program, initial_predicates, main, max_iterations, ctx,
+            facts if facts is not None else ProgramFacts(program),
+        )
     finally:
         if context is None:
             # The loop owns this private context, so nobody else can
@@ -234,7 +243,7 @@ def cegar_loop(
             ctx.close()
 
 
-def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
+def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
     predicates = initial_predicates or PredicateSet()
     engine_prover = ctx.prover
     # One BDD manager + compiled-transfer cache for the whole loop: each
@@ -284,7 +293,12 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
         analysis_before = (
             analysis_stats.snapshot() if analysis_stats is not None else {}
         )
-        tool = C2bp(program, predicates, context=ctx, reuse=abstraction_reuse)
+        # Only the predicate set changes between iterations: points-to,
+        # CFGs and mod/ref come from the loop's one ProgramFacts.
+        tool = C2bp(
+            program, predicates, context=ctx, reuse=abstraction_reuse,
+            facts=facts,
+        )
         boolean_program = tool.run()
         # Model-check the DCE'd program; the result object carries the
         # full translation (its label invariants name every predicate).

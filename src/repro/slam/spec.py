@@ -52,6 +52,18 @@ class SafetySpec:
     def error_on(self, state, event):
         return self.on(state, event, ERROR)
 
+    def fingerprint(self):
+        """The whole automaton as a hashable value: equal fingerprints
+        instrument a program identically."""
+        return (
+            self.name,
+            tuple(self.states),
+            self.initial,
+            tuple(sorted(self.transitions.items())),
+            tuple(self.events),
+            tuple(self.final_forbidden),
+        )
+
     def state_index(self, state):
         return self.states.index(state)
 

@@ -1,5 +1,6 @@
 """The SLAM front door: check a temporal safety property of a C program."""
 
+from repro.analysis import memoized_program
 from repro.cfront import parse_c_program
 from repro.cfront.pretty import pretty_stmt
 from repro.core import PredicateSet, Predicate
@@ -69,9 +70,18 @@ class SlamToolkit:
         options=None,
         context=None,
     ):
-        # Each check instruments a fresh parse (instrumentation mutates).
-        program = parse_c_program(self.source, name=self.name)
-        instrument_program(program, spec, entry=entry)
+        # Instrumentation mutates, so each check instruments a parse of
+        # its own -- unless the context's store already holds this text
+        # instrumented for this (entry, spec): a warm daemon then hands
+        # back that program and its facts, shared and read-only.
+        def build():
+            program = parse_c_program(self.source, name=self.name)
+            return instrument_program(program, spec, entry=entry)
+
+        program, facts = memoized_program(
+            context, self.source, build,
+            "slam", self.name, entry, spec.fingerprint(),
+        )
         predicates = PredicateSet()
         for index, _state in enumerate(spec.states):
             predicates.add(
@@ -86,6 +96,7 @@ class SlamToolkit:
             max_iterations=max_iterations,
             options=options,
             context=context,
+            facts=facts,
         )
         return SlamResult(result, spec, entry)
 

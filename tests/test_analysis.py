@@ -403,3 +403,73 @@ def test_reuse_across_cegar_iterations():
         context=EngineContext(options=C2bpOptions(use_analysis=False)),
     )
     assert off.verdict == result.verdict
+
+
+# -- program facts and the per-predicate-set memo -------------------------------
+
+
+def test_cegar_growth_leaves_memoized_analyses_alone():
+    """The loop adds predicates to its own set after each C2bp run; the
+    analyses memoized for an earlier set keep that set's snapshot, and a
+    later run under the earlier set hits them and prints the fresh bytes."""
+    from repro.analysis import ProgramFacts
+
+    program = parse_c_program(REFINE_SOURCE, name="refine")
+    facts = ProgramFacts(program)
+    text = "main\nz == 8\n"
+    predicates = parse_predicate_file(text, program)
+    first = C2bp(
+        program, predicates, context=EngineContext(options=C2bpOptions()),
+        facts=facts,
+    )
+    first.run()
+    memoized = first.analysis
+    assert memoized.predicates is not predicates
+    result = cegar_loop(
+        program, initial_predicates=predicates, max_iterations=6,
+        context=EngineContext(options=C2bpOptions()), facts=facts,
+    )
+    # The loop grew the very set the memoized entry was built from.
+    assert result.iterations >= 2 and result.predicates is predicates
+    assert len(predicates) > 1
+    assert [p.name for p in memoized.predicates.all_predicates()] == ["z==8"]
+
+    again = C2bp(
+        program, parse_predicate_file(text, program),
+        context=EngineContext(options=C2bpOptions()), facts=facts,
+    )
+    assert again.analysis is memoized
+    assert print_bool_program(again.run()) == print_bool_program(
+        C2bp(
+            program, parse_predicate_file(text, program),
+            context=EngineContext(),
+        ).run()
+    )
+    grown = C2bp(
+        program, result.predicates, context=EngineContext(), facts=facts
+    )
+    assert grown.analysis is not memoized
+    assert print_bool_program(grown.run()) == print_bool_program(
+        C2bp(program, result.predicates, context=EngineContext()).run()
+    )
+
+
+def test_memoized_analyses_count_into_the_current_context():
+    from repro.analysis import ProgramFacts
+
+    program = parse_c_program(LIVE_SOURCE, name="live")
+    facts = ProgramFacts(program)
+    contexts, counts = [], []
+    for _ in range(2):
+        context = EngineContext(options=C2bpOptions())
+        predicates = parse_predicate_file(LIVE_PREDICATES, program)
+        C2bp(program, predicates, context=context, facts=facts).run()
+        contexts.append(context)
+        counts.append(context.analysis_stats.snapshot())
+    first, second = counts
+    # The hit reuses liveness but still decides (and counts) its slots.
+    assert second["predicates_skipped_dead"] == first["predicates_skipped_dead"] > 0
+    # Touch queries of the second run land in its own context: the first
+    # context's counters were final once its run was over.
+    assert second["modref_touch_queries"] > 0
+    assert contexts[0].analysis_stats.snapshot() == first

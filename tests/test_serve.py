@@ -11,9 +11,13 @@ Three layers:
   the parent writes records;
 - **the daemon** — ``repro serve`` round trip over a unix socket:
   batched requests, control ops, ``--remote`` output identical to a
-  local run, clean shutdown with no orphan socket or process.
+  local run, clean shutdown with no orphan socket or process;
+- **warm state** — the store's statement level and its memo of lowered
+  programs outlive requests, memoized programs stay unmodified, and the
+  daemon's ``stats`` reports the memo and its frozen heap.
 """
 
+import gc
 import io
 import json
 import os
@@ -31,6 +35,14 @@ from repro.boolprog.printer import print_bool_program
 from repro.programs import get_program
 
 _SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+@pytest.fixture(autouse=True)
+def _thawed_heap():
+    """In-process servers freeze the heap after each compute request;
+    thaw it so one test's leftovers stay collectable in the next."""
+    yield
+    gc.unfreeze()
 
 
 def _run_cli(argv):
@@ -146,6 +158,28 @@ def test_pool_and_cache_lifecycle(study_files, tmp_path):
             assert "prover" in counters["namespaces"]
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="needs fork")
+@pytest.mark.parametrize("name", ["partition", "listfind"])
+def test_pool_run_with_program_facts_matches_serial(name):
+    """Facts stay in the parent: the pool pickles the bare program, and a
+    ``jobs=2`` run on facts a serial run has filled prints its bytes."""
+    import pickle
+
+    from repro.analysis import ProgramFacts
+
+    study = get_program(name)
+    program = parse_c_program(study.source, name=study.name)
+    facts = ProgramFacts(program)
+    printed = []
+    for jobs in (1, 2):
+        predicates = parse_predicate_file(study.predicate_text, program)
+        with EngineContext(options=C2bpOptions(jobs=jobs)) as context:
+            tool = C2bp(program, predicates, context=context, facts=facts)
+            printed.append(print_bool_program(tool.run()))
+    assert printed[0] == printed[1]
+    assert b"ProgramFacts" not in pickle.dumps(program)
+
+
 # -- the daemon ------------------------------------------------------------
 
 
@@ -193,6 +227,7 @@ def test_serve_round_trip_smoke(tmp_path):
             assert stats["compute"]["check"]["requests"] == 2
             assert stats["queue"] == {"depth": 0, "peak": 1}
             assert stats["persistent_cache"]["reuse_level"]["hits"] > 0
+            assert stats["gc"]["frozen"] > 0
             flushed = client.flush()
             assert flushed["ok"] and flushed["entries_dropped"] > 0
             # Unknown and failing ops must not kill the daemon.
@@ -405,3 +440,220 @@ def test_stats_reads_race_compute_accounting():
             assert total == 3 * len(_COMPUTE_OPS)
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- the program memo and the frozen warm heap ------------------------------
+
+
+def test_smoke_program_memo_admits_on_second_sighting(tmp_path, monkeypatch):
+    """A text is parsed on its first two sightings and admitted on the
+    second; the third is a memo hit with no parse.  A one-off text is never
+    admitted, ``flush`` drops the memo, and ``stats`` reports all of it."""
+    import repro.cli
+    from repro.serve.server import ReproServer
+
+    parses = []
+    parse = repro.cli.parse_c_program
+    monkeypatch.setattr(
+        repro.cli, "parse_c_program",
+        lambda *args, **kwargs: parses.append(1) or parse(*args, **kwargs),
+    )
+    server = ReproServer(cache_dir=str(tmp_path / "cache"))
+    try:
+        request = _check_request(get_program("partition"))
+        outputs = [server._run_job(request)["output"] for _ in range(3)]
+        assert outputs[1] == outputs[2] == outputs[0]
+        assert len(parses) == 2
+        stats = server._op_stats({})
+        level = stats["persistent_cache"]["reuse_level"]
+        assert (level["programs"], level["program_admissions"]) == (1, 1)
+        assert level["program_hits"] == 1
+        assert stats["gc"]["frozen"] == gc.get_freeze_count() > 0
+        assert len(stats["gc"]["collections"]) == len(gc.get_stats())
+
+        edited = dict(request, source=request["source"] + "\n")
+        assert server._run_job(edited)["output"] == outputs[0]
+        level = server._op_stats({})["persistent_cache"]["reuse_level"]
+        assert (level["programs"], level["program_admissions"]) == (1, 1)
+
+        dropped = level["statements"] + level["enforce"] + level["programs"]
+        flushed = server._op_flush({})
+        assert flushed["entries_dropped"] >= dropped
+        assert gc.get_freeze_count() == 0, "flush thaws the warm heap"
+        level = server._op_stats({})["persistent_cache"]["reuse_level"]
+        assert level["programs"] == 0
+        # Flushed means forgotten: the next sighting is a first one again.
+        assert server._run_job(request)["output"] == outputs[0]
+        level = server._op_stats({})["persistent_cache"]["reuse_level"]
+        assert (level["programs"], level["program_admissions"]) == (0, 1)
+    finally:
+        server._executor.shutdown()
+
+
+def test_smoke_program_memo_evicts_least_recent(monkeypatch):
+    from repro.analysis import reuse
+    from repro.analysis.reuse import ReuseLevel
+
+    monkeypatch.setattr(reuse, "PROGRAM_CAPACITY", 2)
+    level = ReuseLevel()
+    for key in ("a", "a", "b", "b", "a", "c"):
+        level.program(key, lambda: (key, None))
+    assert list(level.programs) == ["b", "a"]
+    assert level.program_evictions == 0
+    level.program("c", lambda: ("c", None))  # admits c, evicts b
+    assert list(level.programs) == ["a", "c"]
+    assert (level.program_admissions, level.program_hits) == (3, 1)
+    assert level.program_evictions == 1
+
+
+def test_smoke_evicted_memo_entries_are_reclaimed(tmp_path, monkeypatch):
+    """A memoized program lives in the frozen warm heap, and so do its
+    per-predicate-set analyses.  When a request evicts such an entry (a
+    new predicate set past ``ANALYSES_CAPACITY``, or a program past
+    ``PROGRAM_CAPACITY``), the daemon thaws the heap before that request's
+    collection, so the evicted facts are reclaimed at once."""
+    import weakref
+
+    from repro.analysis import ProgramFacts, reuse
+    from repro.serve.server import ReproServer
+
+    monkeypatch.setattr(ProgramFacts, "ANALYSES_CAPACITY", 1)
+    monkeypatch.setattr(reuse, "PROGRAM_CAPACITY", 1)
+    server = ReproServer(cache_dir=str(tmp_path / "cache"))
+    try:
+        request = _check_request(get_program("partition"))
+        for _ in range(2):  # the second sighting admits the program
+            assert server._run_job(request)["ok"]
+        level = server.store.reuse_level
+        (program, facts), = level.programs.values()
+        (_signatures, analyses), = facts._inputs.values()
+        analyses = weakref.ref(analyses)
+        assert gc.get_freeze_count() > 0 and analyses() is not None
+
+        fewer = dict(request, predicates="partition\ncurr == NULL, prev == NULL\n")
+        assert server._run_job(fewer)["ok"]
+        assert level.program_evictions == 1
+        assert analyses() is None, "the evicted analyses were reclaimed"
+
+        facts = weakref.ref(facts)
+        del program
+        other = _check_request(get_program("listfind"))
+        for _ in range(2):  # admitting listfind evicts partition
+            assert server._run_job(other)["ok"]
+        assert level.program_evictions == 2
+        assert facts() is None, "the evicted program was reclaimed"
+        assert gc.get_freeze_count() > 0
+    finally:
+        server._executor.shutdown()
+
+
+def _memo_snapshot(level):
+    """Everything downstream could mutate in each memoized program."""
+    from repro.cfront.pretty import pretty_program
+
+    def sids(stmts, out):
+        for stmt in stmts:
+            out.append(stmt.sid)
+            for sub in stmt.substatements():
+                sids(sub, out)
+        return out
+
+    return {
+        key: (
+            pretty_program(program),
+            {
+                func.name: sids(func.body, [])
+                for func in program.defined_functions()
+            },
+            sorted(program.protected_globals),
+        )
+        for key, (program, _facts) in level.programs.items()
+    }
+
+
+def test_smoke_memoized_programs_are_read_only(tmp_path):
+    """Every driver under both properties, plus two Table-2 checks, run
+    through one daemon store until each program is memoized; two more
+    passes answer from the memo and leave every program as it was."""
+    from repro.programs import all_drivers
+    from repro.serve.server import ReproServer
+
+    requests = []
+    for driver in all_drivers():
+        base = {
+            "op": "slam", "source": driver.source, "name": driver.name,
+            "entry": driver.entry, "options": {"jobs": 1},
+        }
+        requests.append(
+            dict(base, lock=["KeAcquireSpinLock", "KeReleaseSpinLock"])
+        )
+        requests.append(dict(base, complete_once="IoCompleteRequest"))
+    for name in ("partition", "listfind"):
+        requests.append(_check_request(get_program(name)))
+    server = ReproServer(cache_dir=str(tmp_path / "cache"))
+    try:
+        outputs = []
+        for _ in range(4):
+            replies = [server._run_job(request) for request in requests]
+            assert all(reply["ok"] for reply in replies)
+            outputs.append([reply["output"] for reply in replies])
+            if len(outputs) == 2:
+                level = server.store.reuse_level
+                assert len(level.programs) == len(requests)
+                before = _memo_snapshot(level)
+        assert level.program_hits == 2 * len(requests)
+        assert _memo_snapshot(level) == before
+        # A slam reply prints its prover calls, so only the warm passes
+        # match byte for byte; verdicts match the cold pass.
+        assert outputs[1] == outputs[2] == outputs[3]
+        assert [out.splitlines()[0] for out in outputs[0]] == [
+            out.splitlines()[0] for out in outputs[3]
+        ]
+    finally:
+        server._executor.shutdown()
+
+
+def test_program_memo_survives_concurrent_flush(monkeypatch):
+    """``flush`` clears the memo on the event loop while the compute
+    thread is inside ``program()``; neither may see the other half done."""
+    import threading
+
+    from repro.analysis import reuse
+    from repro.analysis.reuse import ReuseLevel
+
+    monkeypatch.setattr(reuse, "PROGRAM_CAPACITY", 2)
+    level = ReuseLevel()
+    errors = []
+    done = threading.Event()
+
+    def lookups(offset):
+        try:
+            for index in range(20000):
+                key = (index + offset) % 5
+                level.program(key, lambda: (key, None))
+        except Exception as error:  # a lost race
+            errors.append(error)
+
+    def flushes():
+        while not done.is_set():
+            level.clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lookups, args=(offset,)) for offset in range(4)
+        ]
+        flusher = threading.Thread(target=flushes)
+        flusher.start()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        done.set()
+        flusher.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers + [flusher])
+    assert not errors
+    assert len(level.programs) <= 2
