@@ -12,12 +12,19 @@ Sharir-Pnueli and Reps-Horwitz-Sagiv [31, 28]:
   formals, and return values, so recursion needs no extra machinery.
 
 The package also contains an explicit-state engine used to extract concrete
-counterexample paths (hierarchical traces) and to differentially test the
-symbolic engine.
+counterexample paths (hierarchical traces) and, through
+:func:`explicit_divergence`, as the reference the symbolic engine is
+differentially tested against.
 """
 
 from repro.bebop.checker import Bebop, BebopResult
-from repro.bebop.explicit import ExplicitEngine
+from repro.bebop.explicit import ExplicitEngine, explicit_divergence
 from repro.bebop.reuse import BebopReuse
 
-__all__ = ["Bebop", "BebopResult", "BebopReuse", "ExplicitEngine"]
+__all__ = [
+    "Bebop",
+    "BebopResult",
+    "BebopReuse",
+    "ExplicitEngine",
+    "explicit_divergence",
+]

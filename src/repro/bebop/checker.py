@@ -15,20 +15,14 @@ Variable banks are realized by giving every logical slot two BDD variables
 values during assignment relations and are renamed back — with the
 interleaved numbering the shadow→current rename is a level shift.
 
-Two execution strategies share the data model:
-
-- the **fast path** (default) compiles every statement/edge once into a
-  cached transfer relation (constraint BDD + quantified variable set +
-  rename map), applies it with the manager's fused ``and_exists``
-  relational product, and propagates *frontiers* (only states not seen
-  before flow through transfers).  Compiled procedures can be reused
-  across CEGAR iterations via :class:`repro.bebop.reuse.BebopReuse`.
-- the **legacy path** (``legacy=True`` / ``--bebop-legacy``) re-derives
-  every transfer BDD at every worklist visit and propagates full path
-  edges, kept for differential testing and as the benchmark baseline.
-
-Both paths pre-allocate variable slots in one deterministic order, so
-they build bit-identical BDDs and report identical invariants.
+Every statement/edge is compiled once into a cached transfer relation
+(constraint BDD + quantified variable set + rename map), applied with the
+manager's fused ``and_exists`` relational product; the worklist propagates
+*frontiers* (only states not seen before flow through transfers).
+Compiled procedures can be reused across CEGAR iterations via
+:class:`repro.bebop.reuse.BebopReuse`.  The independent reference the
+fuzz oracle and the differential tests compare against is the
+explicit-state engine (:func:`repro.bebop.explicit.explicit_divergence`).
 """
 
 import hashlib
@@ -36,7 +30,7 @@ import hashlib
 from repro.boolprog import ast as B
 from repro.boolprog.printer import print_bool_body, print_bool_expr
 from repro.bdd import BddManager
-from repro.bebop.graph import BRANCH, ENTRY, EXIT, STMT, build_bool_graph
+from repro.bebop.graph import BRANCH, ENTRY, EXIT, build_bool_graph
 
 _EMPTY = frozenset()
 
@@ -160,6 +154,20 @@ class BebopResult:
         """BDD of reachable states (over current vars) at a node or label."""
         return self._checker.reachable_states(proc_name, label=label, node=node)
 
+    def valuation_states(self, proc_name, valuations):
+        """The BDD, in this run's manager, of explicit ``(globals, formals
+        + locals)`` value tuples — the shape of
+        :meth:`repro.bebop.explicit.ExplicitEngine.reachable_valuations`.
+        Each valuation becomes one cube, so comparing the result with
+        :meth:`reachable_states` by identity never expands cubes."""
+        checker = self._checker
+        m = checker.manager
+        variables = [checker._cur(key) for key in checker._scope_keys(proc_name)]
+        states = m.false
+        for globals_vals, locals_vals in valuations:
+            states = m.lor(states, m.cube(zip(variables, globals_vals + locals_vals)))
+        return states
+
     def is_label_reachable(self, proc_name, label):
         bdd = self.reachable_states(proc_name, label=label)
         return not self._checker.manager.is_false(bdd)
@@ -211,7 +219,6 @@ class BebopResult:
             "worklist_steps": self.steps,
             "bdd_nodes": manager._next_id,
             "procedures": len(checker.graphs),
-            "mode": "legacy" if checker.legacy else "fast",
             "transfers_compiled": checker.transfers_compiled,
             "transfers_reused": checker.transfers_reused,
             "tables_loaded": checker.tables_loaded,
@@ -241,26 +248,22 @@ class BebopResult:
 class Bebop:
     """One model-checking run over a boolean program.
 
-    ``legacy`` selects the uncompiled full-set propagation engine (defaults
-    to ``context.options.bebop_legacy``, else False).  ``reuse`` accepts a
-    :class:`repro.bebop.reuse.BebopReuse` carrying a persistent manager,
-    slot table, and compiled-transfer cache across runs (fast path only).
+    ``reuse`` accepts a :class:`repro.bebop.reuse.BebopReuse` carrying a
+    persistent manager, slot table, and compiled-transfer cache across
+    runs; without one the run is fresh (its own manager, every table
+    compiled or loaded from the store).
     """
 
-    def __init__(self, program, main="main", context=None, legacy=None, reuse=None):
+    def __init__(self, program, main="main", context=None, reuse=None):
         if main not in program.procedures:
             raise BebopError("boolean program has no %r procedure" % main)
         self.program = program
         self.main = main
         self.context = context
-        if legacy is None:
-            options = getattr(context, "options", None)
-            legacy = bool(getattr(options, "bebop_legacy", False))
-        self.legacy = legacy
-        self.reuse = reuse if not legacy else None
-        if self.reuse is not None:
-            self.manager = self.reuse.manager
-            self._slots = self.reuse.slots
+        self.reuse = reuse
+        if reuse is not None:
+            self.manager = reuse.manager
+            self._slots = reuse.slots
         else:
             self.manager = BddManager()
             self._slots = {}
@@ -268,13 +271,12 @@ class Bebop:
         # when it has one, else straight off the context's store (the
         # plain `check` path without a CEGAR reuse object).
         self._table_store = None
-        if not legacy:
-            if self.reuse is not None and getattr(self.reuse, "persistent", None):
-                self._table_store = self.reuse.persistent
-            elif getattr(context, "store", None) is not None:
-                from repro.serve import BebopTableStore
+        if reuse is not None and getattr(reuse, "persistent", None):
+            self._table_store = reuse.persistent
+        elif getattr(context, "store", None) is not None:
+            from repro.serve import BebopTableStore
 
-                self._table_store = BebopTableStore(context.store)
+            self._table_store = BebopTableStore(context.store)
         self.tables_loaded = 0
         self.tables_saved = 0
         self.graphs = {
@@ -287,14 +289,13 @@ class Bebop:
         # repeatable order.
         self.call_sites = {}
         self.assertion_failures = []  # (proc, node, states bdd)
-        self._enforce_bdd = {}
         self.steps = 0
         self.transfers_compiled = 0
         self.transfers_reused = 0
         self.frontier_joins = 0
         self._expr_cache = {}
         self._preallocate_slots()
-        self._compiled = None if legacy else self._compile_program()
+        self._compiled = self._compile_program()
 
     # -- slots and variables ---------------------------------------------------
 
@@ -304,8 +305,8 @@ class Bebop:
 
         Entry-bank and current variables interleave per name (the identity
         relations the engine builds between them stay linear-sized), and
-        the order no longer depends on worklist visitation — the fast and
-        legacy paths build bit-identical BDDs.
+        the order does not depend on worklist visitation, so the same
+        program always builds bit-identical BDDs.
         """
         for proc_name, proc in self.program.procedures.items():
             for name in self._entry_names(proc_name):
@@ -378,15 +379,6 @@ class Bebop:
                 "nondeterministic expression in a deterministic position"
             )
         raise AssertionError("unhandled expression %r" % type(expr).__name__)
-
-    def _enforce(self, proc_name):
-        if proc_name not in self._enforce_bdd:
-            proc = self.program.procedures[proc_name]
-            if proc.enforce is None:
-                self._enforce_bdd[proc_name] = self.manager.true
-            else:
-                self._enforce_bdd[proc_name] = self.expr_bdd(proc.enforce, proc_name)
-        return self._enforce_bdd[proc_name]
 
     # -- transfer compilation ------------------------------------------------------
 
@@ -685,17 +677,17 @@ class Bebop:
     def run(self):
         if self.context is not None:
             with self.context.phase("bebop"):
-                result = self._run_legacy() if self.legacy else self._run_fast()
+                result = self._run()
             self.context.stats.register("bebop", result.statistics)
             return result
-        return self._run_legacy() if self.legacy else self._run_fast()
+        return self._run()
 
     def _pe_at(self, proc_name, node):
         return self._pe.get((proc_name, node.uid), self.manager.false)
 
-    # -- the fast path: frontier propagation over compiled transfers --------------
+    # -- frontier propagation over compiled transfers ------------------------------
 
-    def _run_fast(self):
+    def _run(self):
         self._frontier = {}
         self._on_worklist = set()
         self._pending_summary = set()
@@ -835,81 +827,6 @@ class Bebop:
                 self._pending_summary.add((caller, call_node.uid))
                 self._push(caller, call_node, worklist)
 
-    # -- the legacy path: full path edges, transfers re-derived per visit ----------
-
-    def _run_legacy(self):
-        m = self.manager
-        # Seed main: identity between entry bank and current values, all
-        # contexts allowed (initial values are unconstrained).
-        main_graph = self.graphs[self.main]
-        identity = m.true
-        for name in self._entry_names(self.main):
-            key = self._var_key(self.main, name)
-            identity = m.land(
-                identity,
-                m.iff(m.var(self._cur(("ent", self.main, name))), m.var(self._cur(key))),
-            )
-        worklist = []
-        self._join(self.main, main_graph.entry, identity, worklist)
-        while worklist:
-            proc_name, node = worklist.pop()
-            self.steps += 1
-            self._process(proc_name, node, worklist)
-        return BebopResult(self)
-
-    def _join(self, proc_name, node, pe, worklist):
-        pe = self.manager.land(pe, self._enforce(proc_name))
-        old = self._pe_at(proc_name, node)
-        new = self.manager.lor(old, pe)
-        if new is not old:
-            self._pe[(proc_name, node.uid)] = new
-            worklist.append((proc_name, node))
-
-    def _process(self, proc_name, node, worklist):
-        m = self.manager
-        pe = self._pe_at(proc_name, node)
-        if m.is_false(pe):
-            return
-        if node.kind == ENTRY:
-            for target, _ in node.edges:
-                self._join(proc_name, target, pe, worklist)
-            return
-        if node.kind == EXIT:
-            self._update_summary(proc_name, pe, worklist)
-            return
-        if node.kind == BRANCH:
-            cond = node.cond
-            if isinstance(cond, B.BNondet):
-                for target, _ in node.edges:
-                    self._join(proc_name, target, pe, worklist)
-                return
-            cond_bdd = self.expr_bdd(cond, proc_name)
-            for target, assume in node.edges:
-                guard = cond_bdd if assume else m.lnot(cond_bdd)
-                self._join(proc_name, target, m.land(pe, guard), worklist)
-            return
-        stmt = node.stmt
-        if isinstance(stmt, (B.BSkip, B.BGoto)):
-            out = pe
-        elif isinstance(stmt, B.BAssume):
-            out = m.land(pe, self.expr_bdd(stmt.cond, proc_name))
-        elif isinstance(stmt, B.BAssert):
-            cond_bdd = self.expr_bdd(stmt.cond, proc_name)
-            violating = m.land(pe, m.lnot(cond_bdd))
-            if not m.is_false(violating):
-                self._record_failure(proc_name, node, violating)
-            out = m.land(pe, cond_bdd)
-        elif isinstance(stmt, B.BAssign):
-            out = self._apply_assign(proc_name, pe, stmt)
-        elif isinstance(stmt, B.BReturn):
-            out = self._apply_return(proc_name, pe, stmt)
-        elif isinstance(stmt, B.BCall):
-            out = self._apply_call(proc_name, node, pe, stmt, worklist)
-        else:
-            raise AssertionError("unhandled statement %r" % type(stmt).__name__)
-        for target, _ in node.edges:
-            self._join(proc_name, target, out, worklist)
-
     def _record_failure(self, proc_name, node, states):
         for i, (p, n, old) in enumerate(self.assertion_failures):
             if p == proc_name and n is node:
@@ -917,161 +834,6 @@ class Bebop:
                 return
         self.assertion_failures.append((proc_name, node, states))
 
-    # -- legacy transfer functions ---------------------------------------------------
-
-    def _apply_assign(self, proc_name, pe, stmt):
-        """Parallel assignment through shadow variables."""
-        m = self.manager
-        constraint = m.true
-        target_keys = []
-        for target, value in zip(stmt.targets, stmt.values):
-            key = self._var_key(proc_name, target)
-            target_keys.append(key)
-            shadow = m.var(self._shadow(key))
-            if isinstance(value, B.BUnknown) or isinstance(value, B.BNondet):
-                continue  # unconstrained
-            if isinstance(value, B.BChoose):
-                # choose(pos, neg): true if pos, else false if neg, else
-                # nondeterministic — pos takes priority when both hold.
-                pos = self.expr_bdd(value.pos, proc_name)
-                neg = self.expr_bdd(value.neg, proc_name)
-                constraint = m.land(constraint, m.implies(pos, shadow))
-                constraint = m.land(
-                    constraint,
-                    m.implies(m.land(m.lnot(pos), neg), m.lnot(shadow)),
-                )
-            else:
-                constraint = m.land(
-                    constraint, m.iff(shadow, self.expr_bdd(value, proc_name))
-                )
-        combined = m.land(pe, constraint)
-        combined = m.exists(combined, [self._cur(k) for k in target_keys])
-        return m.rename(
-            combined, {self._shadow(k): self._cur(k) for k in target_keys}
-        )
-
-    def _apply_return(self, proc_name, pe, stmt):
-        """Bind returned values to the procedure's output slots."""
-        m = self.manager
-        out = pe
-        for index, value in enumerate(stmt.values):
-            out_var = m.var(self._cur(("out", proc_name, ("r", index))))
-            out = m.land(out, m.iff(out_var, self.expr_bdd(value, proc_name)))
-        return out
-
-    def _update_summary(self, proc_name, exit_pe, worklist):
-        """Project the exit path edge onto the summary in/out slots."""
-        m = self.manager
-        proc = self.program.procedures[proc_name]
-        # Rename entry bank -> in slots; current globals -> out slots.
-        mapping = {}
-        for name in self._entry_names(proc_name):
-            mapping[self._cur(("ent", proc_name, name))] = self._cur(
-                ("in", proc_name, name)
-            )
-        for g in self.program.globals:
-            mapping[self._cur(("g", g))] = self._cur(("out", proc_name, ("g", g)))
-        projected = m.exists(
-            exit_pe,
-            [self._cur(("l", proc_name, v)) for v in proc.formals + proc.locals],
-        )
-        summary_add = m.rename(projected, mapping)
-        old = self.summaries.get(proc_name, m.false)
-        new = m.lor(old, summary_add)
-        if new is not old:
-            self.summaries[proc_name] = new
-            for caller, call_node in self.call_sites.get(proc_name, {}).values():
-                worklist.append((caller, call_node))
-
-    def _apply_call(self, proc_name, node, pe, stmt, worklist):
-        m = self.manager
-        callee = self.program.procedures.get(stmt.name)
-        if callee is None:
-            raise BebopError("call to undefined procedure %r" % stmt.name)
-        sites = self.call_sites.setdefault(stmt.name, {})
-        sites[(proc_name, node.uid)] = (proc_name, node)
-        if len(stmt.args) != len(callee.formals):
-            raise BebopError("arity mismatch calling %r" % stmt.name)
-        if len(stmt.targets) not in (0, callee.returns):
-            raise BebopError(
-                "call to %r uses %d results of %d"
-                % (stmt.name, len(stmt.targets), callee.returns)
-            )
-        # Bind actuals (and globals) to the callee's input slots.
-        bind = m.true
-        for formal, arg in zip(callee.formals, stmt.args):
-            in_var = m.var(self._cur(("in", stmt.name, formal)))
-            if isinstance(arg, (B.BUnknown, B.BNondet)):
-                continue  # unconstrained actual
-            if isinstance(arg, B.BChoose):
-                pos = self.expr_bdd(arg.pos, proc_name)
-                neg = self.expr_bdd(arg.neg, proc_name)
-                bind = m.land(bind, m.implies(pos, in_var))
-                bind = m.land(
-                    bind, m.implies(m.land(m.lnot(pos), neg), m.lnot(in_var))
-                )
-            else:
-                bind = m.land(bind, m.iff(in_var, self.expr_bdd(arg, proc_name)))
-        for g in self.program.globals:
-            bind = m.land(
-                bind,
-                m.iff(m.var(self._cur(("in", stmt.name, g))), m.var(self._cur(("g", g)))),
-            )
-        bound = m.land(pe, bind)
-        # Seed the callee's entry with the newly reached contexts.
-        in_vars = [
-            self._cur(("in", stmt.name, name)) for name in self._entry_names(stmt.name)
-        ]
-        everything_else = [
-            v
-            for v in m.support(bound)
-            if v not in in_vars
-        ]
-        contexts = m.exists(bound, everything_else)
-        entry_identity = m.true
-        mapping = {}
-        for name in self._entry_names(stmt.name):
-            ent = self._cur(("ent", stmt.name, name))
-            cur = self._cur(self._var_key(stmt.name, name))
-            mapping[self._cur(("in", stmt.name, name))] = ent
-            entry_identity = m.land(entry_identity, m.iff(m.var(ent), m.var(cur)))
-        callee_entry_pe = m.land(m.rename(contexts, mapping), entry_identity)
-        self._join(stmt.name, self.graphs[stmt.name].entry, callee_entry_pe, worklist)
-        # Compose with the callee's summary, if any yet.
-        summary = self.summaries.get(stmt.name, m.false)
-        if m.is_false(summary):
-            return m.false
-        composed = m.land(bound, summary)
-        # Old values of globals and call targets die; inputs are consumed.
-        dead = set(in_vars)
-        dead.update(self._cur(("g", g)) for g in self.program.globals)
-        target_keys = [self._var_key(proc_name, t) for t in stmt.targets]
-        dead.update(self._cur(k) for k in target_keys)
-        # Rebind callee outputs to caller variables.  A return bound to a
-        # global displaces that global's exit-value propagation (the
-        # assignment happens after the callee's exit).
-        out_mapping = {}
-        for g in self.program.globals:
-            out_mapping[self._cur(("out", stmt.name, ("g", g)))] = self._cur(("g", g))
-        for index, key in enumerate(target_keys):
-            cur_target = self._cur(key)
-            for out_var, mapped in list(out_mapping.items()):
-                if mapped == cur_target:
-                    del out_mapping[out_var]
-                    dead.add(out_var)
-            out_mapping[self._cur(("out", stmt.name, ("r", index)))] = cur_target
-        composed = m.exists(composed, dead)
-        composed = m.rename(composed, out_mapping)
-        # Unused return values are dropped.
-        if not stmt.targets and callee.returns:
-            composed = m.exists(
-                composed,
-                [
-                    self._cur(("out", stmt.name, ("r", i)))
-                    for i in range(callee.returns)
-                ],
-            )
-        return composed
 
     # -- queries ------------------------------------------------------------------
 

@@ -7,8 +7,11 @@ Serves two purposes:
    concrete hierarchical path; an explicit breadth-first search over
    configurations (procedure, node, valuation, call stack) produces the
    shortest one, with every nondeterministic choice pinned.
-2. **Differential testing** — on non-recursive programs the set of
-   reachable valuations per node must agree with the BDD engine's.
+2. **The reference for the BDD engine** — on non-recursive programs the
+   set of reachable valuations per label, and the set of failing
+   asserts, must agree with the symbolic engine's
+   (:func:`explicit_divergence`, used by the fuzz oracle and the
+   differential tests).
 
 Configurations carry the full call stack, so the search is exact; a config
 budget bounds runaway exploration (recursion), returning "not found within
@@ -345,3 +348,40 @@ class ExplicitEngine:
                     seen.add(successor)
                     queue.append(successor)
         return result
+
+
+def explicit_divergence(result, explicit):
+    """The first disagreement between a symbolic
+    :class:`repro.bebop.checker.BebopResult` and ``explicit`` (an
+    :class:`ExplicitEngine` over the same program), as a message, or
+    ``None`` when the reachable states at every label of every procedure
+    and the set of failing asserts agree.
+
+    The explicit states are built into the symbolic run's BDD manager, so
+    the comparison is one identity test per label.  Raises
+    ``RuntimeError`` when the explicit engine's state budget runs out.
+    """
+    valuations = explicit.reachable_valuations()
+    for proc_name, graph in explicit.graphs.items():
+        for label, node in sorted(graph.labels.items()):
+            expected = result.valuation_states(
+                proc_name, valuations.get((proc_name, node.uid), ())
+            )
+            if expected is not result.reachable_states(proc_name, label=label):
+                return "reachable states at %s/%s differ" % (proc_name, label)
+    explicit_sites = set()
+    for (proc_name, uid), states in valuations.items():
+        node = explicit.graphs[proc_name].nodes[uid]
+        if node.kind != STMT or not isinstance(node.stmt, B.BAssert):
+            continue
+        if any(
+            not explicit.eval_expr(node.stmt.cond, proc_name, g, l)
+            for g, l in states
+        ):
+            explicit_sites.add((proc_name, uid))
+    symbolic_sites = {(p, n.uid) for p, n, _ in result.assertion_failures}
+    if symbolic_sites != explicit_sites:
+        return "assertion sites differ: symbolic %r, explicit %r" % (
+            sorted(symbolic_sites), sorted(explicit_sites)
+        )
+    return None

@@ -1,4 +1,4 @@
-"""Cross-iteration state for the Bebop fast path.
+"""Cross-iteration state for Bebop.
 
 CEGAR re-checks a near-identical boolean program every iteration: one
 refinement adds a few predicates, but most procedures — and therefore most

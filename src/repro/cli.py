@@ -87,20 +87,14 @@ def _add_option_flags(parser):
         help="keep (rather than invalidate) predicates whose WP dereferences a constant",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="fresh prover state per cube instead of the incremental "
-        "assumption-based session (the pre-session baseline)",
-    )
-    parser.add_argument(
         "--strengthen",
         choices=("allsat", "cubes"),
         default="allsat",
         help="strengthening strategy for the F/G cube searches: 'allsat' "
         "answers the SAT-side cube queries from an incremental model "
-        "sweep (default, fastest measured); 'cubes' decides every cube "
-        "with the prover (the baseline); the boolean program is "
-        "byte-identical either way",
+        "sweep (default); 'cubes' decides every cube with a fresh prover "
+        "query (the reference); the boolean program is byte-identical "
+        "either way",
     )
     parser.add_argument(
         "--no-theory-incremental",
@@ -195,22 +189,6 @@ def _add_option_flags(parser):
         metavar="W",
         help="bit width for pipeline-internal BMC runs (default 16)",
     )
-    _add_bebop_flags(parser)
-
-
-def _add_bebop_flags(parser):
-    parser.add_argument(
-        "--bebop-legacy",
-        action="store_true",
-        help="model check with the legacy Bebop engine (per-visit transfer "
-        "BDDs, full path-edge propagation) instead of the compiled fast path",
-    )
-    parser.add_argument(
-        "--no-bebop-reuse",
-        action="store_true",
-        help="fresh BDD manager and transfer compilation every CEGAR "
-        "iteration instead of cross-iteration reuse",
-    )
 
 
 def _options_from(args):
@@ -225,12 +203,9 @@ def _options_from(args):
         enforce_cube_length=args.enforce_cube_length,
         use_alias_analysis=not args.no_alias,
         invalidate_constant_derefs=not args.no_invalidate_derefs,
-        incremental_cubes=not args.no_incremental,
         theory_incremental=not args.no_theory_incremental,
         strengthen=args.strengthen,
         jobs=max(args.jobs, 0),
-        bebop_legacy=args.bebop_legacy,
-        bebop_reuse=not args.no_bebop_reuse,
         use_analysis=not args.no_analysis,
         live_predicates=not args.no_live_predicates,
         intervals=not args.no_intervals,
@@ -547,11 +522,7 @@ def _replay(args, out):
 
 def _bebop(args, out):
     boolean_program = parse_bool_program(_read(args.program))
-    context = EngineContext(
-        options=C2bpOptions(
-            bebop_legacy=args.bebop_legacy, bebop_reuse=not args.no_bebop_reuse
-        )
-    )
+    context = EngineContext()
     result = Bebop(boolean_program, main=args.entry, context=context).run()
     if args.label:
         for name in args.label:
@@ -797,7 +768,6 @@ def build_parser():
     p_bebop.add_argument("program", help="boolean program file")
     p_bebop.add_argument("--entry", default="main")
     p_bebop.add_argument("--label", action="append")
-    _add_bebop_flags(p_bebop)
     _add_instrument_flags(p_bebop)
     p_bebop.set_defaults(func=_bebop)
 

@@ -23,20 +23,22 @@ exponentially many; the Section 5.2 optimizations implemented here are:
 :class:`StrengtheningStrategy`:
 
 - :class:`CubeEnumerationStrategy` — the paper's increasing-length
-  enumeration with superset pruning, every verdict one prover decide;
+  enumeration with superset pruning, every cube one fresh prover query;
+  the reference the optimized strategy is differentially tested against;
 - :class:`AllSatStrategy` — the same enumeration order (so the kept cube
-  lists, and hence the printed boolean program, are byte-identical), but
-  backed by a :class:`repro.prover.allsat.ModelCatalog`: one incremental
-  AllSAT sweep enumerates theory-validated models of ``¬φ ∧ axioms``
-  projected onto the candidates, and each stored projection answers all
-  the SAT-side cube queries it covers with a tuple comparison instead of
-  a solver + theory-check loop.
+  lists, and hence the printed boolean program, are byte-identical) on
+  one incremental assumption-based session per search, whose assumption
+  cores prune supersets early, backed by a
+  :class:`repro.prover.allsat.ModelCatalog`: one AllSAT sweep enumerates
+  theory-validated models of ``¬φ ∧ axioms`` projected onto the
+  candidates, and each stored projection answers all the SAT-side cube
+  queries it covers with a tuple comparison instead of a solver +
+  theory-check loop.
 
-The strategy also owns the session policy (satellite of the refactor):
-whether sessions keep and validate assumption cores.  Throwaway
-per-query sessions of the non-incremental baseline never read their
-cores, so the strategy opens them with ``want_cores=False`` and the
-audited core-validation code path lives only in the place that uses it.
+The strategy owns the session policy: the reference's throwaway
+per-query sessions never map or validate assumption cores (nobody reads
+them), so the audited core-validation code path runs only in the
+incremental session that uses it.
 """
 
 import itertools
@@ -120,12 +122,12 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
 
     def open_session(self, search, candidates, goal):
         """A cube-decision session over the candidates' concretizations
-        against ``goal`` (incremental when enabled and the backend
-        supports it; fresh per-cube queries otherwise)."""
+        against ``goal`` that answers every cache miss with a fresh
+        prover query (no assumption cores)."""
         return search.prover.cube_session(
             [candidate.expr for candidate in candidates],
             goal,
-            incremental=getattr(search.options, "incremental_cubes", True),
+            incremental=False,
             theory_incremental=getattr(
                 search.options, "theory_incremental", True
             ),
@@ -133,8 +135,8 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
 
     def search_implicants(self, search, candidates, phi, limit):
         # The validity precheck is the empty-cube decision; it shares the
-        # cache key with Prover.is_valid(phi) and warms the session whose
-        # solver state every subsequent cube of this call reuses.
+        # cache key with Prover.is_valid(phi) and, on an incremental
+        # session, warms the solver state every later cube reuses.
         implies_phi = self.open_session(search, candidates, phi)
         valid, _ = search._decide(implies_phi, ())
         if valid:
@@ -143,10 +145,10 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
         # The mirror precheck: an unsatisfiable φ is implied only by cubes
         # that are themselves inconsistent — every one a false disjunct, so
         # F(φ) is false without enumerating.  Deciding this up front also
-        # keeps the engines aligned: the incremental session would refute
-        # each cube with an *empty* assumption core (pruning everything),
-        # while a fresh-query baseline keeps the vacuous implicants it
-        # happens to test first.
+        # keeps the strategies aligned: the incremental session would
+        # refute each cube with an *empty* assumption core (pruning
+        # everything), while the fresh-query reference keeps the vacuous
+        # implicants it happens to test first.
         refuted, _ = search._decide(implies_not_phi, ())
         if refuted:
             return []
@@ -175,16 +177,16 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
 
 
 class AllSatStrategy(CubeEnumerationStrategy):
-    """Cube enumeration backed by AllSAT model catalogs.
+    """Cube enumeration on incremental sessions backed by AllSAT model
+    catalogs.
 
     Same enumeration order and prover-decide semantics as
     :class:`CubeEnumerationStrategy` — the outputs are byte-identical —
-    but every session carries a :class:`ModelCatalog` whose one-time
+    but each search runs on one incremental session (assumption cores
+    prune supersets) carrying a :class:`ModelCatalog` whose one-time
     model sweep answers the SAT-side cube queries (the bulk of a
     strengthening call) without touching the solver or the theory
-    checker.  Requires the backend's incremental cube capability; the
-    ``incremental_cubes`` knob is ignored (there is no fresh-per-query
-    variant of a model sweep)."""
+    checker.  Requires the backend's incremental cube capability."""
 
     name = "allsat"
 
@@ -241,8 +243,8 @@ class CubeSearch:
     def _decide(self, session, cube):
         """One cube implication, tried against the discharger first.
         A discharged decision reports no assumption core — the keep-side
-        record is then the cube itself, exactly what a fresh-query
-        baseline records.  Discharged answers are tallied under their own
+        record is then the cube itself, exactly what the fresh-query
+        reference records.  Discharged answers are tallied under their own
         ``queries_discharged`` stats key, before any prover timer starts,
         so they do not read as zero-time generalize entries in the
         per-query time attribution."""

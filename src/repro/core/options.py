@@ -1,8 +1,11 @@
 """Configuration knobs for C2bp (the Section 5 extensions/optimizations).
 
-Every optimization can be toggled off so the ablation benchmarks can
-measure its effect on the number of theorem prover calls; defaults match
-the configuration the paper reports results with.
+Every optimization of the paper can be toggled off so the ablation
+benchmarks can measure its effect on the number of theorem prover calls;
+defaults match the configuration the paper reports results with.  The
+engine switches ``strengthen`` and ``theory_incremental`` instead select
+between an optimized engine and the one independent reference it is
+differentially tested against.
 """
 
 import dataclasses
@@ -12,10 +15,9 @@ import dataclasses
 #: enforce invariant, and the analyses behind both) can read: the fields
 #: that key every cache of translation inputs and outputs.  Deliberately
 #: excludes the answer-invisible knobs — ``strengthen``,
-#: ``incremental_cubes``, ``theory_incremental``, ``cache_prover``,
-#: ``jobs``, the Bebop engine selection, ``bp_dce`` (a post-pass),
-#: ``validate_output``, and the cache wiring itself — so configurations
-#: that provably print the same bytes share entries.
+#: ``theory_incremental``, ``cache_prover``, ``jobs``, ``bp_dce`` (a
+#: post-pass), ``validate_output``, and the cache wiring itself — so
+#: configurations that provably print the same bytes share entries.
 SEMANTIC_OPTION_FIELDS = (
     "max_cube_length",
     "cone_of_influence",
@@ -77,21 +79,14 @@ class C2bpOptions:
     #: and is "undefined ... and thus invalidated" (Section 2.1).
     invalidate_constant_derefs: bool = True
 
-    #: Answer the cube queries of one F/G strengthening call on a single
-    #: persistent SAT solver via assumption literals (encode once, reuse
-    #: learned clauses and theory lemmas across cubes) instead of a fresh
-    #: encode-and-solve per cube.  Off is the pre-session baseline.
-    #: Only consulted by the ``cubes`` strengthening strategy; ``allsat``
-    #: always runs incrementally (a model sweep has no per-query form).
-    incremental_cubes: bool = True
-
     #: Strengthening strategy for the F/G cube searches
-    #: (:mod:`repro.core.cubes`): ``"allsat"`` (the default — the cube
-    #: enumeration backed by an AllSAT model catalog that answers the
-    #: SAT-side cube queries from swept, theory-validated model
-    #: projections) or ``"cubes"`` (every verdict a prover decide; the
-    #: measured baseline).  The kept cubes, and hence the printed boolean
-    #: program, are byte-identical either way.
+    #: (:mod:`repro.core.cubes`): ``"allsat"`` (the default — one
+    #: incremental assumption-based session per search, backed by an
+    #: AllSAT model catalog that answers the SAT-side cube queries from
+    #: swept, theory-validated model projections) or ``"cubes"`` (the
+    #: paper's procedure and the reference: every cube one fresh prover
+    #: query).  The kept cubes, and hence the printed boolean program,
+    #: are byte-identical either way.
     strengthen: str = "allsat"
 
     #: Answer the theory consistency checks of one cube session on a
@@ -99,8 +94,8 @@ class C2bpOptions:
     #: (difference-bound delta closure for the arithmetic fragment, a
     #: cached reference pipeline for the rest) instead of a stateless
     #: check per query.  Verdicts are identical either way (the fuzz
-    #: oracle's ``theory-divergence`` check pins this); off is the
-    #: ``--no-theory-incremental`` escape hatch and benchmark baseline.
+    #: oracle's ``theory-divergence`` check pins this); off
+    #: (``--no-theory-incremental``) is the stateless reference.
     theory_incremental: bool = True
 
     #: Worker processes for statement abstraction; 1 (the default) runs
@@ -111,17 +106,6 @@ class C2bpOptions:
     #: count, but only the serial path reuses statement translations
     #: across CEGAR iterations and from the persistent store.
     jobs: int = 1
-
-    #: Run Bebop on the legacy engine (transfer BDDs re-derived at every
-    #: worklist visit, full path-edge propagation) instead of the fast
-    #: path (compiled transfer relations + frontier propagation).  Kept
-    #: for differential testing and as the benchmark baseline; invariants
-    #: are identical either way.
-    bebop_legacy: bool = False
-
-    #: Share one BDD manager and the compiled transfer relations of
-    #: unchanged procedures across CEGAR iterations (fast path only).
-    bebop_reuse: bool = True
 
     #: Master switch for the static-analysis subsystem
     #: (:mod:`repro.analysis`).  Off reproduces the pre-analysis pipeline

@@ -38,11 +38,11 @@ import os
 import signal
 import traceback
 
-#: Cap for the auto-selected worker count.  BENCH_strengthen puts the
-#: pool's configure/serialize overhead at roughly a quarter of a small
-#: corpus run, so scaling past a handful of workers stops paying long
-#: before typical core counts do; four is where the measured crossover
-#: comfortably wins without oversubscribing the prover-cache shipping.
+#: Cap for the auto-selected worker count.  Unmeasured: ``perfbench``
+#: runs every job serially (``jobs=1``), so no benchmark in the repo
+#: times the pool.  The pool's configure/serialize overhead grows with
+#: the worker count while a statement batch stays small, so the cap is
+#: kept at a handful of workers.
 MAX_AUTO_JOBS = 4
 
 

@@ -13,19 +13,21 @@ seam.  A *backend* is any object implementing:
 
 Backends may additionally implement the *incremental cube* capability:
 
-- ``open_cube_session(candidates, goal, want_cores=True) -> session`` —
-  a session object deciding cubes over the fixed candidate set against
-  the fixed goal via ``decide(cube) -> (Satisfiability, core)`` with
-  persistent solver state (see
-  :class:`repro.prover.incremental.IncrementalCubeSession`).  A backend
-  without the method (or returning ``None``) makes the engine fall back
-  to fresh per-cube ``check_implication`` calls.  ``want_cores=False``
-  asks the session to skip assumption-core mapping (the engine passes it
-  for throwaway sessions whose cores nobody reads; backends predating
-  the keyword are still called positionally).  Sessions that also
-  provide ``enumerate_models(max_models)`` support the AllSAT
-  strengthening strategy's model catalog; the engine degrades to plain
-  cube enumeration without it.
+- ``open_cube_session(candidates, goal, want_cores=True,
+  theory_incremental=True) -> session`` — a session object deciding
+  cubes over the fixed candidate set against the fixed goal via
+  ``decide(cube) -> (Satisfiability, core)`` with persistent solver
+  state (see :class:`repro.prover.incremental.IncrementalCubeSession`).
+  A backend without the method (a :class:`ProverBackend` subclass sets
+  it to ``None``) makes the engine fall back to fresh per-cube
+  ``check_implication`` calls.  The engine always passes both
+  keywords, and a backend must honour them or raise:
+  ``want_cores=False`` asks the session to skip assumption-core mapping
+  (throwaway sessions whose cores nobody reads), and
+  ``theory_incremental=False`` pins its theory checks to the stateless
+  reference.  Sessions that also provide ``enumerate_models(max_models)``
+  support the AllSAT strengthening strategy's model catalog; the engine
+  degrades to plain cube enumeration without it.
 
 Backends register under a string name so configuration (CLI flags,
 :class:`repro.engine.EngineContext`) can select them without importing
@@ -85,7 +87,10 @@ class ProverBackend:
     def check_satisfiable(self, exprs):
         raise NotImplementedError
 
-    def open_cube_session(self, candidates, goal, want_cores=True):
-        """Optional capability: an incremental cube-decision session, or
-        ``None`` when the backend only supports one-shot queries."""
-        return None
+    def open_cube_session(
+        self, candidates, goal, want_cores=True, theory_incremental=True
+    ):
+        """Optional capability: an incremental cube-decision session.
+        A subclass that only supports one-shot queries sets
+        ``open_cube_session = None``."""
+        raise NotImplementedError

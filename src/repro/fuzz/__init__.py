@@ -8,9 +8,10 @@ machines, not by curated examples.  The subsystem has three parts:
   programs (pointers, calls with globals and return targets, loops,
   asserts) with predicate sets biased toward the programs' own guards;
 - :mod:`repro.fuzz.oracle` — the trace-inclusion oracle (concrete
-  execution replayed through the abstraction) plus cross-engine
-  differentials (incremental vs fresh cubes, serial vs ``--jobs``,
-  Bebop fast vs legacy vs explicit-state);
+  execution replayed through the abstraction) plus differentials of each
+  optimized engine against its one reference (allsat vs fresh-query
+  cubes, incremental vs stateless theory, serial vs ``--jobs``, symbolic
+  vs explicit-state Bebop);
 - :mod:`repro.fuzz.shrink` — a delta-debugging shrinker that minimizes
   any failing case, for check-in under ``tests/corpus/``.
 

@@ -6,22 +6,22 @@ For one :class:`repro.fuzz.gen.FuzzCase` the oracle checks, in order:
 1. **Well-formedness** — the abstraction (run with ``validate_output``)
    must produce a boolean program :mod:`repro.boolprog.validate` accepts;
 2. **Abstraction determinism** — the printed ``BP(P, E)`` must be
-   byte-identical between the incremental cube engine and the
-   ``--no-incremental`` baseline, between the ``allsat`` and ``cubes``
-   strengthening strategies, between the incremental theory engine and
-   the ``--no-theory-incremental`` stateless checker, between the
-   uncached pipeline and a cold, a warm and a repeated (same store
-   object, same program facts: the in-memory memo hits)
-   content-addressed ``--cache-dir`` store (which must also preserve the
-   model-checking verdict through the compiled-table round trip), and (on a
-   configurable stride, since a fork pool per case is costly) between
-   ``--jobs 1`` and ``--jobs 2``;
-3. **Engine agreement** — Bebop's compiled fast path and the
-   ``--bebop-legacy`` engine must report identical invariants and
-   identical assertion-failure sites, and the explicit-state engine must
-   agree on the reachable-failure *verdict* (budget-capped: recursion-free
-   generated programs explore quickly, but the check is skipped rather
-   than failed when the state budget runs out);
+   byte-identical between the default ``allsat`` strengthening (one
+   incremental session per search plus the model catalog) and the
+   ``cubes`` reference (one fresh prover query per cube), between the
+   incremental theory engine and the ``--no-theory-incremental``
+   stateless checker, between the uncached pipeline and a cold, a warm
+   and a repeated (same store object, same program facts: the in-memory
+   memo hits) content-addressed ``--cache-dir`` store (which must also
+   preserve the model-checking verdict through the compiled-table round
+   trip), and (on a configurable stride, since a fork pool per case is
+   costly) between ``--jobs 1`` and ``--jobs 2``;
+3. **Engine agreement** — the explicit-state engine is Bebop's
+   reference: it must agree on the reachable-failure *verdict*, on the
+   reachable states at every label, and on the set of failing asserts
+   (:func:`repro.bebop.explicit_divergence`; budget-capped:
+   recursion-free generated programs explore quickly, but the check is
+   skipped rather than failed when the state budget runs out);
 4. **BMC agreement** — the bit-precise bounded model checker
    (:func:`repro.bmc.run_bmc`) is a fully independent verdict engine: an
    ``unsafe`` verdict must come with a witness that concretely trips an
@@ -45,7 +45,7 @@ Any deviation is reported as a :class:`CaseReport` with a stable failure
 import random
 
 from repro.analysis import ProgramFacts
-from repro.bebop import Bebop, ExplicitEngine
+from repro.bebop import Bebop, ExplicitEngine, explicit_divergence
 from repro.boolprog.printer import print_bool_program
 from repro.boolprog.validate import ValidationError
 from repro.cfront import parse_c_program
@@ -63,11 +63,11 @@ from repro.engine import EngineContext
 
 #: Failure kinds, from most to least interesting.
 KIND_SOUNDNESS = "soundness"          # Theorem-1 replay violation
-KIND_ENGINE = "engine-divergence"     # fast / legacy / explicit disagree
+KIND_ENGINE = "engine-divergence"     # symbolic / explicit Bebop disagree
 KIND_BMC = "bmc-divergence"           # bit-precise BMC / pipeline disagree
 KIND_ANALYSIS = "analysis-divergence"  # analysis on/off disagree
-KIND_ABSTRACTION = "abstraction-divergence"  # incremental / jobs text differs
-KIND_STRENGTHEN = "strengthen-divergence"  # allsat / cubes strategies differ
+KIND_ABSTRACTION = "abstraction-divergence"  # --jobs 1 / 2 text differs
+KIND_STRENGTHEN = "strengthen-divergence"  # allsat / fresh cubes differ
 KIND_THEORY = "theory-divergence"     # incremental / stateless theory differ
 KIND_CACHE = "cache-divergence"       # persistent cache changed bytes/verdict
 KIND_INVALID_BP = "invalid-bp"        # validator rejected BP(P, E)
@@ -163,10 +163,9 @@ class SoundnessOracle:
         report.prover_calls = tool.stats.prover_calls
         printed = print_bool_program(boolean_program)
 
-        # The AllSAT catalog must be answer-invisible: the ``cubes``
-        # strategy (every verdict a prover decide) prints the same bytes.
-        # Checked before the fresh baseline so a catalog bug is reported
-        # as strengthen-divergence, not generic abstraction-divergence.
+        # The incremental session and its AllSAT catalog must be
+        # answer-invisible: the ``cubes`` reference (every cube one fresh
+        # prover query) prints the same bytes.
         _, cubes_bp = self._abstract(
             facts, predicates,
             self.make_options(validate_output=True, strengthen="cubes"),
@@ -180,9 +179,7 @@ class SoundnessOracle:
             )
         # The incremental theory engine must be answer-invisible: pinning
         # every theory check to the stateless reference prints the same
-        # bytes.  Checked before the fresh baseline so a delta-closure or
-        # session-cache bug is reported as theory-divergence, not generic
-        # abstraction-divergence.
+        # bytes.
         _, stateless_bp = self._abstract(
             facts, predicates,
             self.make_options(validate_output=True, theory_incremental=False),
@@ -193,23 +190,6 @@ class SoundnessOracle:
                 KIND_THEORY,
                 "incremental and --no-theory-incremental boolean programs "
                 "differ:\n" + _first_diff(printed, stateless_printed),
-            )
-        baseline_tool, baseline_bp = self._abstract(
-            facts, predicates,
-            # strengthen="cubes" so incremental_cubes=False actually
-            # bites (the allsat strategy always runs incrementally).
-            self.make_options(
-                validate_output=True,
-                incremental_cubes=False,
-                strengthen="cubes",
-            ),
-        )
-        baseline_printed = print_bool_program(baseline_bp)
-        if baseline_printed != printed:
-            return report.fail(
-                KIND_ABSTRACTION,
-                "incremental and --no-incremental boolean programs differ:\n"
-                + _first_diff(printed, baseline_printed),
             )
         jobs = self.check_jobs if check_jobs is None else check_jobs
         if jobs:
@@ -379,27 +359,15 @@ class SoundnessOracle:
         return None
 
     def _check_engines(self, case, boolean_program, report):
-        """Returns ``(failure, fast_run)`` — the fast Bebop run is reused
-        by the BMC differential for the pipeline verdict."""
+        """Returns ``(failure, fast_run)`` — the Bebop run is reused by
+        the BMC differential for the pipeline verdict."""
         fast = Bebop(boolean_program, main=case.entry).run()
-        legacy = Bebop(boolean_program, main=case.entry, legacy=True).run()
-        if fast.all_invariants() != legacy.all_invariants():
-            return report.fail(
-                KIND_ENGINE, "fast and legacy Bebop invariants differ"
-            ), fast
-        fast_sites = {(p, n.uid) for p, n, _ in fast.assertion_failures}
-        legacy_sites = {(p, n.uid) for p, n, _ in legacy.assertion_failures}
-        if fast_sites != legacy_sites:
-            return report.fail(
-                KIND_ENGINE,
-                "fast and legacy Bebop assertion sites differ: %r vs %r"
-                % (sorted(fast_sites), sorted(legacy_sites)),
-            ), fast
         explicit = ExplicitEngine(
             boolean_program, main=case.entry, max_configs=self.explicit_budget
         )
         try:
             explicit_failure = explicit.find_assertion_failure() is not None
+            divergence = explicit_divergence(fast, explicit)
         except RuntimeError:
             return None, fast  # budget exhausted: skip, do not fail
         report.explicit_checked = True
@@ -408,6 +376,10 @@ class SoundnessOracle:
                 KIND_ENGINE,
                 "explicit engine verdict %r but symbolic verdict %r"
                 % (explicit_failure, fast.error_reached),
+            ), fast
+        if divergence is not None:
+            return report.fail(
+                KIND_ENGINE, "symbolic and explicit Bebop: " + divergence
             ), fast
         return None, fast
 

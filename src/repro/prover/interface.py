@@ -158,7 +158,7 @@ class DpllTBackend:
         policy for throwaway per-query sessions whose caller discards the
         core anyway.  ``theory_incremental=False`` pins the session to
         the stateless theory checker (the ``--no-theory-incremental``
-        escape hatch and the fuzz oracle's divergence baseline)."""
+        reference the fuzz oracle compares against)."""
         return IncrementalCubeSession(
             candidates,
             goal,
@@ -166,24 +166,6 @@ class DpllTBackend:
             want_cores=want_cores,
             theory_incremental=theory_incremental,
         )
-
-
-def _open_session(opener, candidates, goal, want_cores, theory_incremental=True):
-    """Call a backend's ``open_cube_session`` with the session policies,
-    tolerating backends predating the policy keywords."""
-    try:
-        return opener(
-            candidates,
-            goal,
-            want_cores=want_cores,
-            theory_incremental=theory_incremental,
-        )
-    except TypeError:
-        pass
-    try:
-        return opener(candidates, goal, want_cores=want_cores)
-    except TypeError:
-        return opener(candidates, goal)
 
 
 class CubeProverSession:
@@ -273,9 +255,11 @@ class CubeProverSession:
         core = None
         opener = getattr(prover.backend, "open_cube_session", None)
         if self._incremental and self._session is None and opener is not None:
-            self._session = _open_session(
-                opener, self.candidates, self.goal, self._want_cores,
-                self._theory_incremental,
+            self._session = opener(
+                self.candidates,
+                self.goal,
+                want_cores=self._want_cores,
+                theory_incremental=self._theory_incremental,
             )
             self._synced = self._session.counters()
         if self._session is not None:
@@ -289,7 +273,7 @@ class CubeProverSession:
                     outcome = Satisfiability.SAT
             if outcome is None:
                 if self._session.decides > 0:
-                    # The fresh baseline would have re-encoded the whole query.
+                    # The fresh reference would have re-encoded the whole query.
                     stats.cnf_encodings_saved += 1
                 outcome, raw_core = self._session.decide(cube)
                 if raw_core is not None and len(raw_core) < len(cube):
@@ -297,16 +281,18 @@ class CubeProverSession:
                     stats.core_shrinks += 1
             self._sync_session_counters()
         elif opener is not None:
-            # Non-incremental baseline: a throwaway session per query.
-            # Same clause universe and theory-relevance rules as the
+            # The fresh reference: a throwaway session per query.  Same
+            # clause universe and theory-relevance rules as the
             # incremental engine — so the two modes compute the same
             # answer for every cube — but every query pays the full
-            # re-encoding and lemma rediscovery.  The strategy layer's
-            # core policy applies here too: no caller keeps these cores,
-            # so the session skips the core mapping and its validation.
-            throwaway = _open_session(
-                opener, self.candidates, self.goal, False,
-                self._theory_incremental,
+            # re-encoding and lemma rediscovery.  No caller keeps these
+            # cores, so the session skips the core mapping and its
+            # validation.
+            throwaway = opener(
+                self.candidates,
+                self.goal,
+                want_cores=False,
+                theory_incremental=self._theory_incremental,
             )
             outcome, _ = throwaway.decide(cube)
             counters = throwaway.counters()
@@ -437,8 +423,7 @@ class Prover:
         repeated cube implication tests over ``candidates`` against the
         fixed ``goal``.  With ``incremental=False`` (or a backend without
         the ``open_cube_session`` capability) every cache miss runs a
-        fresh ``check_implication`` — the pre-session behaviour, kept as
-        the benchmark baseline.  ``want_cores``/``catalog``/
+        fresh query — the ``cubes`` strategy's reference behaviour.  ``want_cores``/``catalog``/
         ``theory_incremental`` are the strategy layer's policy hooks (see
         :class:`CubeProverSession`)."""
         return CubeProverSession(

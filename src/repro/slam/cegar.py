@@ -249,20 +249,16 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
     # One BDD manager + compiled-transfer cache for the whole loop: each
     # refinement changes a few procedures; the rest check with the
     # transfer relations compiled in earlier iterations.
-    reuse = None
-    if not getattr(ctx.options, "bebop_legacy", False) and getattr(
-        ctx.options, "bebop_reuse", True
-    ):
-        persistent_tables = None
-        if getattr(ctx, "store", None) is not None:
-            # A --cache-dir run: compiled tables also come from / go to
-            # the content-addressed store, so unchanged procedures skip
-            # recompilation across *runs*, not just across iterations.
-            from repro.serve import BebopTableStore
+    persistent_tables = None
+    if getattr(ctx, "store", None) is not None:
+        # A --cache-dir run: compiled tables also come from / go to the
+        # content-addressed store, so unchanged procedures skip
+        # recompilation across *runs*, not just across iterations.
+        from repro.serve import BebopTableStore
 
-            persistent_tables = BebopTableStore(ctx.store)
-        reuse = BebopReuse(persistent=persistent_tables)
-        ctx.stats.register("bebop_reuse", reuse.snapshot)
+        persistent_tables = BebopTableStore(ctx.store)
+    reuse = BebopReuse(persistent=persistent_tables)
+    ctx.stats.register("bebop_loop", reuse.snapshot)
     # Cross-iteration statement-abstraction cache (serial path only —
     # the parallel path already amortizes via the forked prover cache).
     abstraction_reuse = None
@@ -383,11 +379,10 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
         ctx.events.emit("cegar-iteration", **record.snapshot())
         if result is not None:
             break
-        if reuse is not None:
-            # Reclaim the finished iteration's path edges and summaries.
-            # (Never after the last iteration: the returned result still
-            # queries its BDDs.)
-            reuse.end_iteration()
+        # Reclaim the finished iteration's path edges and summaries.
+        # (Never after the last iteration: the returned result still
+        # queries its BDDs.)
+        reuse.end_iteration()
     if result is None:
         result = CegarResult("unknown", max_iterations, predicates,
                              boolean_program=boolean_program)

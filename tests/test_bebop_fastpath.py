@@ -1,10 +1,7 @@
-"""The Bebop fast path (compiled transfer relations, frontier propagation,
-cross-iteration reuse) against the legacy engine: random-program and
-corpus differentials, transfer-cache reuse, and the stats plumbing."""
-
-import itertools
-
-from hypothesis import given, settings, strategies as st
+"""The Bebop engine (compiled transfer relations, frontier propagation,
+cross-iteration reuse) against the explicit-state reference and against
+fresh runs: corpus differentials, transfer-cache reuse, the stats
+plumbing, and the fuzz oracle catching an injected engine bug."""
 
 from repro import (
     Bebop,
@@ -14,104 +11,19 @@ from repro import (
     parse_c_program,
     parse_predicate_file,
 )
-from repro.bebop import BebopReuse
+from repro.bebop import BebopReuse, ExplicitEngine, explicit_divergence
 from repro.bebop.checker import procedure_fingerprint
-from repro.boolprog import (
-    BAssert,
-    BAssign,
-    BAssume,
-    BCall,
-    BChoose,
-    BConst,
-    BIf,
-    BNondet,
-    BNot,
-    BProcedure,
-    BProgram,
-    BSkip,
-    BUnknown,
-    BVar,
-    BWhile,
-    parse_bool_program,
-    validate_bool_program,
-)
+from repro.boolprog import parse_bool_program
 from repro.core import C2bpOptions
 from repro.engine import EngineContext
+from repro.fuzz.gen import ProgramGenerator
+from repro.fuzz.oracle import KIND_ENGINE, SoundnessOracle
 from repro.programs import all_table2_programs
 
-_VARS = ["a", "b", "c"]
-
-
-@st.composite
-def bool_exprs(draw, depth=0):
-    choice = draw(st.integers(0, 4 if depth < 2 else 1))
-    if choice == 0:
-        return BVar(draw(st.sampled_from(_VARS)))
-    if choice == 1:
-        return BConst(draw(st.booleans()))
-    if choice == 2:
-        return BNot(draw(bool_exprs(depth=depth + 1)))
-    from repro.boolprog import BAnd, BOr
-
-    left = draw(bool_exprs(depth=depth + 1))
-    right = draw(bool_exprs(depth=depth + 1))
-    return BAnd(left, right) if choice == 3 else BOr(left, right)
-
-
-@st.composite
-def bool_stmts(draw, depth=0):
-    choice = draw(st.integers(0, 5 if depth < 2 else 3))
-    if choice == 0:
-        target = draw(st.sampled_from(_VARS))
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            value = draw(bool_exprs())
-        elif kind == 1:
-            value = BUnknown()
-        else:
-            value = BChoose(draw(bool_exprs()), draw(bool_exprs()))
-        return BAssign([target], [value])
-    if choice == 1:
-        return BSkip()
-    if choice == 2:
-        return BAssume(draw(bool_exprs()))
-    if choice == 3:
-        return BAssert(draw(bool_exprs()))
-    if choice == 4:
-        then_body = draw(st.lists(bool_stmts(depth=depth + 1), min_size=0, max_size=2))
-        else_body = draw(st.lists(bool_stmts(depth=depth + 1), min_size=0, max_size=2))
-        cond = BNondet() if draw(st.booleans()) else draw(bool_exprs())
-        return BIf(cond, then_body, else_body)
-    body = draw(st.lists(bool_stmts(depth=depth + 1), min_size=0, max_size=2))
-    return BWhile(BNondet(), body)
-
-
-@st.composite
-def bool_programs(draw):
-    body = draw(st.lists(bool_stmts(), min_size=1, max_size=5))
-    tail = BSkip()
-    tail.labels.append("L")
-    program = BProgram()
-    program.add_procedure(BProcedure("main", [], list(_VARS), 0, body + [tail]))
-    return program
-
-
-def _assert_same_results(program, main="main"):
-    fast = Bebop(program, main=main).run()
-    legacy = Bebop(program, main=main, legacy=True).run()
-    assert fast.all_invariants() == legacy.all_invariants()
-    assert len(fast.assertion_failures) == len(legacy.assertion_failures)
-    fast_sites = {(p, n.uid) for p, n, _ in fast.assertion_failures}
-    legacy_sites = {(p, n.uid) for p, n, _ in legacy.assertion_failures}
-    assert fast_sites == legacy_sites
-    return fast, legacy
-
-
-@settings(max_examples=60, deadline=None)
-@given(bool_programs())
-def test_fast_equals_legacy_on_random_programs(program):
-    validate_bool_program(program)
-    _assert_same_results(program)
+def _assert_matches_explicit(program, main="main"):
+    result = Bebop(program, main=main).run()
+    assert explicit_divergence(result, ExplicitEngine(program, main=main)) is None
+    return result
 
 
 INTERPROC = """
@@ -142,25 +54,22 @@ void main() {
 """
 
 
-def test_fast_equals_legacy_interprocedural():
+def test_fast_equals_explicit_interprocedural():
     program = parse_bool_program(INTERPROC)
-    fast, legacy = _assert_same_results(program)
-    assert fast.invariant_string("main", label="L1") == "!{g}"
-    stats = fast.statistics()
-    assert stats["mode"] == "fast"
-    assert stats["transfers_compiled"] > 0
-    assert legacy.statistics()["mode"] == "legacy"
+    result = _assert_matches_explicit(program)
+    assert result.invariant_string("main", label="L1") == "!{g}"
+    assert result.statistics()["transfers_compiled"] > 0
 
 
-def test_fast_equals_legacy_on_table2_corpus():
+def test_fast_equals_explicit_on_table2_corpus():
     for study in all_table2_programs():
         if study.name not in ("partition", "listfind"):
-            continue  # the small, fixture-free studies; the benchmark
-            # covers the full corpus
+            continue  # the small studies keep the explicit reference's
+            # exhaustive search quick
         program = parse_c_program(study.source, study.name)
         predicates = parse_predicate_file(study.predicate_text, program)
         boolean_program = C2bp(program, predicates).run()
-        _assert_same_results(boolean_program, main=study.entry)
+        _assert_matches_explicit(boolean_program, main=study.entry)
 
 
 def test_summary_growth_requeues_callers_in_program_order(monkeypatch):
@@ -200,14 +109,6 @@ def test_summary_growth_requeues_callers_in_program_order(monkeypatch):
     assert Bebop(program).run().steps == checker.steps
 
 
-def test_context_option_selects_legacy():
-    program = parse_bool_program(INTERPROC)
-    context = EngineContext(options=C2bpOptions(bebop_legacy=True))
-    checker = Bebop(program, context=context)
-    assert checker.legacy
-    assert checker.run().statistics()["mode"] == "legacy"
-
-
 # -- cross-run reuse ------------------------------------------------------------
 
 
@@ -245,10 +146,7 @@ def test_reuse_recompiles_only_changed_procedures():
     assert reused_procs == {"flip", "toggle"}
     assert second.transfers_reused > 0
     assert second.transfers_compiled > 0
-    assert (
-        second.run().all_invariants()
-        == Bebop(after, legacy=True).run().all_invariants()
-    )
+    assert second.run().all_invariants() == Bebop(after).run().all_invariants()
 
 
 def test_gc_between_iterations_bounds_nodes():
@@ -275,7 +173,7 @@ def test_cegar_reports_transfer_reuse():
     )
     assert result.iterations > 1  # needs refinement for reuse to show up
     snapshot = context.stats.snapshot()
-    assert snapshot["bebop_reuse"]["transfers_reused"] > 0
+    assert snapshot["bebop_loop"]["transfers_reused"] > 0
     per_iteration = snapshot["iterations"]
     assert per_iteration[0]["bebop_transfers_reused"] == 0
     assert any(r["bebop_transfers_reused"] > 0 for r in per_iteration[1:])
@@ -284,24 +182,43 @@ def test_cegar_reports_transfer_reuse():
     assert snapshot["bebop"]["bdd"]["ite_calls"] > 0
 
 
-def test_cegar_verdicts_match_legacy():
+def test_cegar_floppy_irp_verdict_pinned():
+    """The floppy driver's IRP property is unsafe after exactly three
+    CEGAR iterations (Table 1; the paper's in-development driver)."""
     from repro.programs import all_drivers
 
     driver = next(d for d in all_drivers() if d.name == "floppy")
     spec = SafetySpec.complete_exactly_once("IoCompleteRequest")
-    fast = check_property(
+    result = check_property(
         driver.source,
         spec,
         entry=driver.entry,
         max_iterations=8,
         context=EngineContext(options=C2bpOptions()),
     )
-    legacy = check_property(
-        driver.source,
-        spec,
-        entry=driver.entry,
-        max_iterations=8,
-        context=EngineContext(options=C2bpOptions(bebop_legacy=True)),
-    )
-    assert fast.verdict == legacy.verdict
-    assert fast.iterations == legacy.iterations
+    assert result.verdict == "unsafe"
+    assert result.iterations == 3
+
+
+# -- the oracle catches an injected engine bug -------------------------------------
+
+
+def test_oracle_catches_injected_frontier_bug(monkeypatch):
+    """A frontier join that drops every state reaching a procedure's exit
+    label is reported as engine-divergence against the explicit
+    reference."""
+    join = Bebop._join_fast
+
+    def dropping_join(self, proc_name, node, pe, worklist):
+        if node.stmt is not None and "__exit" in node.stmt.labels:
+            return
+        return join(self, proc_name, node, pe, worklist)
+
+    monkeypatch.setattr(Bebop, "_join_fast", dropping_join)
+    oracle = SoundnessOracle()
+    for seed in range(8):
+        report = oracle.check(ProgramGenerator("engine").generate(seed))
+        if report.kind == KIND_ENGINE:
+            assert "/__exit differ" in report.detail
+            return
+    raise AssertionError("no generated case exposed the injected frontier bug")

@@ -1,7 +1,8 @@
 """Regression corpus: every shrunk failure the fuzzer ever checked in
-replays cleanly through the full oracle — all engine configurations
-(fast/legacy Bebop, explicit-state, incremental/fresh cubes, serial and
-``--jobs``) plus the Theorem-1 trace replay."""
+replays cleanly through the full oracle — every optimized engine against
+its reference (symbolic vs explicit-state Bebop, allsat vs fresh-query
+cubes, incremental vs stateless theory, serial vs ``--jobs``) plus the
+Theorem-1 trace replay."""
 
 import os
 

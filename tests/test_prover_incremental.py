@@ -6,22 +6,27 @@ Three layers of guarantees:
   ``solve()`` calls and a sound unsat-core-lite (the subset of assumptions
   in the final conflict);
 - differential identity: the incremental session classifies exactly the
-  cube sets the fresh-solver-per-cube baseline does, on randomized
-  instances (hypothesis) and on real programs;
+  cubes a fresh solver per cube does, on randomized instances
+  (hypothesis), and the default strengthening prints the same boolean
+  program as the fresh-query ``cubes`` reference on real programs;
 - ``--jobs``: the parallel statement abstraction emits a byte-identical
   boolean program and merged accounting.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import C2bp, parse_c_program, parse_predicate_file
 from repro.boolprog.printer import print_bool_program
+from repro.cfront import cast as C
 from repro.cfront import parse_expression
 from repro.core import C2bpOptions
 from repro.core.cubes import CubeSearch
 from repro.engine import EngineContext
 from repro.programs import get_program
-from repro.prover import Prover, Satisfiability
+from repro.prover import DpllTBackend, Prover, Satisfiability
 from repro.prover import sat as sat_module
 from repro.prover.sat import SatSolver
 
@@ -117,20 +122,30 @@ def _instance(draw):
     return candidates, goal
 
 
+def _all_cubes(size):
+    for length in range(size + 1):
+        for indices in itertools.combinations(range(size), length):
+            for polarities in itertools.product((True, False), repeat=length):
+                yield tuple(zip(indices, polarities))
+
+
+def _session_verdicts(candidates, goal, incremental):
+    """Every cube's verdict on one session (incremental: one solver for
+    all of them; otherwise a fresh solver per cube)."""
+    session = Prover().cube_session(candidates, goal, incremental=incremental)
+    return [
+        session.implies_cube(cube)[0] for cube in _all_cubes(len(candidates))
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_instance())
 def test_incremental_matches_fresh_on_random_instances(instance):
     candidate_texts, goal_text = instance
-    candidates = [_Cand(t) for t in candidate_texts]
+    candidates = [parse_expression(t) for t in candidate_texts]
     goal = parse_expression(goal_text)
-    incremental = CubeSearch(
-        Prover(), C2bpOptions(syntactic_heuristics=False, incremental_cubes=True)
-    )
-    fresh = CubeSearch(
-        Prover(), C2bpOptions(syntactic_heuristics=False, incremental_cubes=False)
-    )
-    assert incremental.implicant_cubes(candidates, goal) == fresh.implicant_cubes(
-        candidates, goal
+    assert _session_verdicts(candidates, goal, True) == _session_verdicts(
+        candidates, goal, False
     )
 
 
@@ -138,11 +153,10 @@ def test_incremental_matches_fresh_on_random_instances(instance):
 @given(_instance())
 def test_incremental_matches_fresh_inconsistent_cubes(instance):
     candidate_texts, _ = instance
-    candidates = [_Cand(t) for t in candidate_texts]
-    incremental = CubeSearch(Prover(), C2bpOptions(incremental_cubes=True))
-    fresh = CubeSearch(Prover(), C2bpOptions(incremental_cubes=False))
-    assert incremental.inconsistent_cubes(candidates, 3) == fresh.inconsistent_cubes(
-        candidates, 3
+    candidates = [parse_expression(t) for t in candidate_texts]
+    goal = C.IntLit(0)
+    assert _session_verdicts(candidates, goal, True) == _session_verdicts(
+        candidates, goal, False
     )
 
 
@@ -150,13 +164,12 @@ def test_incremental_matches_fresh_on_partition():
     study = get_program("partition")
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    with_sessions = C2bp(
-        program, predicates, options=C2bpOptions(incremental_cubes=True)
-    ).run()
-    baseline = C2bp(
-        program, predicates, options=C2bpOptions(incremental_cubes=False)
-    ).run()
-    assert print_bool_program(with_sessions) == print_bool_program(baseline)
+    with_sessions = C2bp(program, predicates, options=C2bpOptions())
+    fresh = C2bp(program, predicates, options=C2bpOptions(strengthen="cubes"))
+    assert print_bool_program(with_sessions.run()) == print_bool_program(fresh.run())
+    # The default really runs on sessions; the reference never does.
+    assert with_sessions.prover.stats.assumption_solves > 0
+    assert fresh.prover.stats.assumption_solves == 0
 
 
 # -- session accounting --------------------------------------------------------------
@@ -164,18 +177,15 @@ def test_incremental_matches_fresh_on_partition():
 
 def test_session_counters_track_reuse():
     prover = Prover()
-    search = CubeSearch(
-        prover,
-        C2bpOptions(
-            syntactic_heuristics=False,
-            incremental_cubes=True,
-            strengthen="cubes",
-        ),
+    session = prover.cube_session(
+        [parse_expression("x < 5"), parse_expression("x == 2"),
+         parse_expression("y > 0")],
+        parse_expression("x < 4"),
     )
-    candidates = [_Cand("x < 5"), _Cand("x == 2"), _Cand("y > 0")]
-    search.implicant_cubes(candidates, parse_expression("x < 4"))
+    for cube in _all_cubes(3):
+        session.implies_cube(cube)
     stats = prover.stats
-    assert stats.cube_sessions >= 2  # one per direction (=> phi, => !phi)
+    assert stats.cube_sessions == 1
     assert stats.assumption_solves > 0
     # Every decide after a session's first reuses that session's encoding.
     assert stats.cnf_encodings_saved > 0
@@ -221,6 +231,31 @@ def test_fresh_fallback_reports_no_core():
     result, core = session.implies_cube(((0, True), (1, True)))
     assert result is True and core is None
     assert prover.stats.assumption_solves == 0
+
+
+class _IncrementalTheoryOnlyBackend(DpllTBackend):
+    """A backend whose sessions cannot pin the stateless theory checker."""
+
+    def open_cube_session(
+        self, candidates, goal, want_cores=True, theory_incremental=True
+    ):
+        if not theory_incremental:
+            raise TypeError("no stateless theory sessions")
+        return super().open_cube_session(candidates, goal, want_cores=want_cores)
+
+
+def test_unsupported_session_policy_raises():
+    """A backend rejecting a session policy fails the run instead of
+    silently opening a session on the incremental theory."""
+    study = get_program("listfind")
+    program = parse_c_program(study.source, study.name)
+    predicates = parse_predicate_file(study.predicate_text, program)
+    context = EngineContext(
+        options=C2bpOptions(theory_incremental=False),
+        backend=_IncrementalTheoryOnlyBackend(),
+    )
+    with pytest.raises(TypeError, match="no stateless theory sessions"):
+        C2bp(program, predicates, context=context).run()
 
 
 def test_cube_session_shares_query_cache_with_implies():
@@ -295,8 +330,6 @@ def test_incremental_session_decides_consistently():
     candidates = [parse_expression("x < 5"), parse_expression("y == 1")]
     goal = parse_expression("x < 9")
     session = prover_a.cube_session(candidates, goal)
-    from repro.cfront import cast as C
-
     for cube in [((0, True),), ((0, False),), ((1, True),), ((0, True), (1, False))]:
         result, _ = session.implies_cube(cube)
         exprs = [

@@ -3,17 +3,18 @@
 Four groups of guarantees:
 
 - **Strategy differential** — :class:`AllSatStrategy` classifies exactly
-  the cube sets :class:`CubeEnumerationStrategy` does, on randomized
-  instances (hypothesis) and on real corpus programs, and the printed
-  boolean programs are byte-identical;
+  the cube sets the fresh-query :class:`CubeEnumerationStrategy`
+  reference does, on randomized instances (hypothesis) and on real
+  corpus programs, and the printed boolean programs are byte-identical;
 - **Core policy** — sessions opened with ``want_cores=False`` (the
-  fresh-baseline throwaway path) skip unsat-core mapping entirely;
+  reference's throwaway path) skip unsat-core mapping entirely;
 - **Pool lifecycle** — the persistent :class:`StatementPool` shuts down
   deterministically (no zombie processes after ``close()``), survives
-  reuse across runs on one context, and re-raises a failing worker
-  statement with the original traceback;
-- **Oracle coverage** — an injected catalog bug is caught by the fuzz
-  oracle as ``strengthen-divergence``.
+  reuse across runs on one context, re-raises a failing worker
+  statement with the original traceback, and merges the workers' prover
+  statistics;
+- **Oracle coverage** — an injected catalog bug and an injected session
+  core bug are caught by the fuzz oracle as ``strengthen-divergence``.
 """
 
 import io
@@ -40,6 +41,7 @@ from repro.fuzz.oracle import KIND_STRENGTHEN, SoundnessOracle
 from repro.programs import get_program
 from repro.prover import Prover
 from repro.prover import allsat as allsat_module
+from repro.prover.incremental import IncrementalCubeSession
 
 
 class _Cand:
@@ -193,6 +195,22 @@ def test_pool_persists_across_runs_and_closes_clean():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_merged_prover_stats_engage(jobs):
+    """Serial and pooled runs both report real prover work — queries,
+    time attribution, incremental-session solves and AllSAT catalog
+    answers — with the workers' counters merged into the parent's."""
+    program, predicates = _study_inputs("partition")
+    with EngineContext(options=C2bpOptions(jobs=jobs)) as context:
+        C2bp(program, predicates, context=context).run()
+        stats = context.prover.stats
+    assert stats.queries > 0 and stats.calls > 0
+    assert stats.time_in_encode + stats.time_in_solve + stats.time_in_generalize > 0
+    assert stats.assumption_solves > 0
+    assert stats.allsat_sweeps > 0 and stats.allsat_models > 0
+    assert stats.allsat_model_hits > 0
+
+
 def test_pool_closed_after_private_context_run():
     program, predicates = _study_inputs("partition")
     tool = C2bp(program, predicates, options=C2bpOptions(jobs=2))
@@ -243,6 +261,26 @@ def test_oracle_catches_injected_catalog_bug(monkeypatch):
         if report.kind == KIND_STRENGTHEN:
             return
     raise AssertionError("no generated case exposed the injected catalog bug")
+
+
+def test_oracle_catches_injected_session_core_bug(monkeypatch):
+    """A session that reports an empty assumption core for every valid
+    cube over-prunes the allsat search; the fresh-query reference ignores
+    cores, so the oracle flags the strengthen-specific kind."""
+    decide = IncrementalCubeSession.decide
+
+    def empty_core(self, cube):
+        outcome, core = decide(self, cube)
+        return outcome, (() if core else core)
+
+    monkeypatch.setattr(IncrementalCubeSession, "decide", empty_core)
+    oracle = SoundnessOracle()
+    for seed in range(8):
+        case = ProgramGenerator("strengthen").generate(seed)
+        report = oracle.check(case, check_jobs=False)
+        if report.kind == KIND_STRENGTHEN:
+            return
+    raise AssertionError("no generated case exposed the injected core bug")
 
 
 # -- CLI flag -------------------------------------------------------------------------
