@@ -3,6 +3,8 @@ cross-iteration reuse) against the explicit-state reference and against
 fresh runs: corpus differentials, transfer-cache reuse, the stats
 plumbing, and the fuzz oracle catching an injected engine bug."""
 
+from hypothesis import given, settings
+
 from repro import (
     Bebop,
     C2bp,
@@ -19,6 +21,9 @@ from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_ENGINE, SoundnessOracle
 from repro.programs import all_table2_programs
+
+from .test_bebop_differential import bool_programs
+
 
 def _assert_matches_explicit(program, main="main"):
     result = Bebop(program, main=main).run()
@@ -59,6 +64,21 @@ def test_fast_equals_explicit_interprocedural():
     result = _assert_matches_explicit(program)
     assert result.invariant_string("main", label="L1") == "!{g}"
     assert result.statistics()["transfers_compiled"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bool_programs())
+def test_fast_equals_explicit_on_random_programs(program):
+    """A run on compile tables reused from an earlier run of the same
+    program matches the explicit reference too, failing asserts included."""
+    reuse = BebopReuse()
+    fresh = Bebop(program, reuse=reuse).run()
+    reuse.end_iteration()
+    reused = Bebop(program, reuse=reuse)
+    assert reused.transfers_compiled == 0
+    result = reused.run()
+    assert explicit_divergence(result, ExplicitEngine(program, max_configs=200_000)) is None
+    assert result.all_invariants() == fresh.all_invariants()
 
 
 def test_fast_equals_explicit_on_table2_corpus():
