@@ -121,9 +121,7 @@ class ProgramFacts:
     statement keys too.
 
     The program is read, never written: a memoized program is shared by
-    every later request for the same text.  Facts stay off ``Program``
-    itself, so pickling a program for the worker pool never drags them
-    along.
+    every later request for the same text.
     """
 
     #: Predicate-set entries kept per program, least recently used first

@@ -10,12 +10,11 @@ the scope predicates inside its mod/ref closure, its liveness fact, and
 the involved signatures — so the next iteration re-translates only the
 statements the new predicates actually touch.
 
-Byte identity with a fresh run comes from reusing the parallel-merge
-discipline: translations are produced (and cached) with per-statement
-temporary prefixes, then assembled with the same first-use renumbering
-``_run_parallel`` applies, which the test suite already pins as
-identical to a serial translation.  Cached parts are cloned once on
-store and once per hit, because assembly renames statement nodes in place.
+Byte identity with a fresh run comes from C2bp's one assembly path:
+every statement, fetched or fresh, is translated with a per-statement
+temporary prefix and assembled with the same first-use renumbering.
+Cached parts are cloned once on store and once per hit, because
+assembly renames statement nodes in place.
 """
 
 import collections

@@ -105,15 +105,6 @@ def _add_option_flags(parser):
         "identical either way",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for statement abstraction (default 1: "
-        "serial; 0 picks from os.cpu_count(), staying serial on "
-        "single-core hosts; the translated program is identical for any N)",
-    )
-    parser.add_argument(
         "--validate-bp",
         action="store_true",
         help="run the boolean-program validator on BP(P, E) before using it "
@@ -205,7 +196,6 @@ def _options_from(args):
         invalidate_constant_derefs=not args.no_invalidate_derefs,
         theory_incremental=not args.no_theory_incremental,
         strengthen=args.strengthen,
-        jobs=max(args.jobs, 0),
         use_analysis=not args.no_analysis,
         live_predicates=not args.no_live_predicates,
         intervals=not args.no_intervals,
@@ -555,7 +545,6 @@ def _fuzz(args, out):
     session = FuzzSession(
         seed=args.fuzz_seed,
         oracle=SoundnessOracle(explicit_budget=args.explicit_budget),
-        jobs_stride=args.jobs_stride,
         shrink=args.shrink,
         corpus_dir=args.corpus_dir,
         bit_weight=args.bit_weight,
@@ -675,14 +664,6 @@ def build_parser():
         "--corpus-dir",
         metavar="DIR",
         help="write shrunk failures to DIR as corpus JSON entries",
-    )
-    p_fuzz.add_argument(
-        "--jobs-stride",
-        type=int,
-        default=5,
-        metavar="K",
-        help="run the --jobs differential on every K-th case "
-        "(0 disables; default 5)",
     )
     p_fuzz.add_argument(
         "--explicit-budget",

@@ -16,21 +16,14 @@ procedure in isolation, statement by statement:
   fail, which is the sound (may-overreport) direction SLAM refines away;
 - each procedure carries the ``enforce`` data invariant ``¬F(false)``.
 
-Statement abstraction is embarrassingly parallel: each top-level
-statement's translation depends only on the immutable inputs (program,
-predicates, signatures, points-to facts, options) — the only
-cross-statement state is the call-site temporary counter (renamed
-deterministically afterwards) and the prover cache (a pure accelerator).
-With ``options.jobs > 1`` the statements of all procedures plus the
-per-procedure ``enforce`` computations become tasks for the engine
-context's persistent :class:`repro.core.pool.StatementPool`: workers are
-forked once and re-targeted per run with a configure message, so CEGAR
-iterations reuse warm worker processes (and their prover caches) instead
-of paying a fork per abstraction.  The translated pieces, prover
-statistics, learned cache entries, analysis counters, process-wide
-SAT/CNF construction counters, and events are merged back in task
-order, so the output program, the stats totals, and the event stream
-are identical to a serial run.
+Each top-level statement is translated on its own, in its own
+call-site temporary namespace; a procedure's parts are then assembled
+with one first-use renumbering of those temporaries to ``__r<N>``.  A
+statement's translation depends only on the inputs its cache key
+covers (:meth:`repro.analysis.ProgramAnalyses.statement_key`), so when a
+CEGAR loop hands in a reuse cache, or a persistent store is configured,
+statements whose key is unchanged are fetched instead of re-translated
+— the output is byte-identical either way.
 """
 
 from repro.cfront import cast as C
@@ -42,8 +35,6 @@ from repro.core.calls import abstract_call
 from repro.core.cubes import CubeSearch
 from repro.core.stats import C2bpStats, Timer
 from repro.engine import EngineContext
-from repro.prover import cnf as cnf_module
-from repro.prover import sat as sat_module
 
 
 class C2bpError(Exception):
@@ -77,10 +68,6 @@ class C2bp:
         reuse=None,
     ):
         self.context = EngineContext.ensure(context, options=options, prover=prover)
-        # Whether this run created its own context (the legacy keyword
-        # shim): then nobody else can reuse (or close) the worker pool, so
-        # run() tears it down itself after a parallel run.
-        self._private_context = context is None
         self.program = program
         self.predicates = predicates
         self.options = self.context.options
@@ -99,13 +86,12 @@ class C2bp:
             else None,
         )
         # Cross-iteration statement-abstraction cache (CEGAR hands one
-        # in); only the serial path consults it.
+        # in); without one every statement is translated afresh.
         self.reuse = reuse if self.analysis is not None else None
         if (
             self.reuse is None
             and self.analysis is not None
             and getattr(self.context, "store", None) is not None
-            and (getattr(self.options, "jobs", 1) or 1) <= 1
         ):
             # A persistent store is configured: even a one-shot run reads
             # and populates the cross-run statement cache (the warm-run
@@ -126,6 +112,7 @@ class C2bp:
         self.stats = C2bpStats()
         self.context.stats.register("c2bp", self.stats)
         self._keysets = {}  # predicate name -> canonical location keyset
+        self._touchers = {}  # func name -> TouchOracle (analysis off)
         # (procedure name, temp name) -> meaning expression E(t) for the
         # call-site temporaries of Section 4.5.3 (used by trace replay).
         self.temp_meanings = {}
@@ -141,19 +128,19 @@ class C2bp:
             self._keysets[id(predicate.expr)] = entry
         return entry[1]
 
+    def toucher(self, func_name):
+        """The memoized alias-aware touch oracle of one procedure: the
+        analysis subsystem's when it is on, else one kept for this run."""
+        if self.analysis is not None:
+            return self.analysis.toucher(func_name)
+        oracle = self._touchers.get(func_name)
+        if oracle is None:
+            oracle = TouchOracle(self.may_alias(func_name))
+            self._touchers[func_name] = oracle
+        return oracle
+
     def run(self):
         """Build and return the boolean program ``BP(P, E)``."""
-        jobs = getattr(self.options, "jobs", 1) or 1
-        if jobs > 1:
-            pool = self.context.worker_pool(jobs)
-            if pool is not None:  # no fork on this platform: run serially
-                try:
-                    return self._run_parallel(pool)
-                finally:
-                    if self._private_context:
-                        self.context.close()
-        if self.reuse is not None:
-            return self._run_with_reuse()
         started_calls = self.prover.stats.calls
         started_queries = self.prover.stats.queries
         started_hits = self.prover.stats.cache_hits
@@ -162,8 +149,7 @@ class C2bp:
             boolean_program.globals = [p.name for p in self.predicates.globals]
             for func in self.program.defined_functions():
                 before = self.prover.stats.calls
-                procedure = _ProcedureAbstractor(self, func).abstract()
-                boolean_program.add_procedure(procedure)
+                boolean_program.add_procedure(self._abstract_procedure(func))
                 delta = self.prover.stats.calls - before
                 self.stats.per_procedure[func.name] = delta
                 self.context.events.emit(
@@ -179,98 +165,78 @@ class C2bp:
         self._maybe_validate(boolean_program)
         return boolean_program
 
-    def _run_with_reuse(self):
-        """The serial CEGAR path with a cross-iteration statement cache.
+    def _abstract_procedure(self, func):
+        """Pass two for one procedure: Ω first (liveness anchors the
+        predicates it reads as always-live), then every top-level
+        statement in its own temp namespace, then one first-use
+        renumbering of the call-site temporaries to ``__r<N>``."""
+        enforce = self._enforce(func.name)
+        if self.analysis is not None:
+            self.analysis.compute_liveness(func.name, enforce)
+        body = []
+        renamed_temps = []
+        mapping = {}
+        for index, stmt in enumerate(func.body):
+            part = self._statement_part(func, index, stmt)
+            for site_name in part["temps"]:
+                final_name = "__r%d" % len(renamed_temps)
+                mapping[site_name] = final_name
+                renamed_temps.append(final_name)
+            body.extend(part["stmts"])
+            for site_name, meaning in part["temp_meanings"]:
+                self.temp_meanings[(func.name, mapping[site_name])] = meaning
+        if mapping:
+            B.rename_stmt_variables(body, mapping)
+        signature = self.signatures[func.name]
+        local_predicates = self.predicates.for_procedure(func.name)
+        formal_names = [p.name for p in signature.formal_predicates]
+        local_names = [
+            p.name for p in local_predicates if p not in signature.formal_predicates
+        ] + renamed_temps
+        return B.BProcedure(
+            func.name,
+            formal_names,
+            local_names,
+            len(signature.return_predicates),
+            body,
+            enforce,
+        )
 
-        Assembly mirrors ``_run_parallel``: statements are translated
-        (or fetched) with per-statement temp prefixes, then merged with
-        the same first-use renumbering — so the output is byte-identical
-        to a fresh serial run, while statements whose cache key is
-        unchanged since the previous iteration cost zero prover calls.
-        """
-        started_calls = self.prover.stats.calls
-        started_queries = self.prover.stats.queries
-        started_hits = self.prover.stats.cache_hits
-        with self.context.phase("c2bp"), Timer(self.stats):
-            boolean_program = B.BProgram()
-            boolean_program.globals = [p.name for p in self.predicates.globals]
-            for func in self.program.defined_functions():
-                before = self.prover.stats.calls
-                scope = self.predicates.in_scope(func.name)
-                enforce = None
-                if self.options.compute_enforce and scope:
-                    key = self.analysis.enforce_key(func.name)
-                    hit, cached = self.reuse.fetch_enforce(key)
-                    if hit:
-                        enforce = cached
-                    else:
-                        enforce = self.search.enforce_expr(scope)
-                        self.reuse.store_enforce(key, enforce)
-                self.analysis.compute_liveness(func.name, enforce)
-                parts = []
-                for index, stmt in enumerate(func.body):
-                    stmt_key = self.analysis.statement_key(func, index, stmt)
-                    payload = self.reuse.fetch(stmt_key)
-                    if payload is None:
-                        payload = self._translate_statement(func, index, stmt)
-                        self.reuse.store(
-                            stmt_key,
-                            payload["stmts"],
-                            payload["temps"],
-                            payload["temp_meanings"],
-                            payload["c2bp"],
-                        )
-                    else:
-                        for name, value in payload["c2bp"].items():
-                            setattr(
-                                self.stats, name, getattr(self.stats, name) + value
-                            )
-                    parts.append(payload)
-                body = []
-                renamed_temps = []
-                mapping = {}
-                for part in parts:
-                    for site_name in part["temps"]:
-                        final_name = "__r%d" % len(renamed_temps)
-                        mapping[site_name] = final_name
-                        renamed_temps.append(final_name)
-                    body.extend(part["stmts"])
-                    for site_name, meaning in part["temp_meanings"]:
-                        self.temp_meanings[(func.name, mapping[site_name])] = meaning
-                if mapping:
-                    B.rename_stmt_variables(body, mapping)
-                signature = self.signatures[func.name]
-                local_predicates = self.predicates.for_procedure(func.name)
-                formal_names = [p.name for p in signature.formal_predicates]
-                local_names = [
-                    p.name
-                    for p in local_predicates
-                    if p not in signature.formal_predicates
-                ] + renamed_temps
-                boolean_program.add_procedure(
-                    B.BProcedure(
-                        func.name,
-                        formal_names,
-                        local_names,
-                        len(signature.return_predicates),
-                        body,
-                        enforce,
-                    )
-                )
-                delta = self.prover.stats.calls - before
-                self.stats.per_procedure[func.name] = delta
-                self.context.events.emit(
-                    "c2bp-procedure", procedure=func.name, prover_calls=delta
-                )
-            self.stats.program_statements = self.program.statement_count()
-            self.stats.predicate_count = len(self.predicates)
-            self.stats.prover_calls = self.prover.stats.calls - started_calls
-            self.stats.prover_queries = self.prover.stats.queries - started_queries
-            self.stats.prover_cache_hits = (
-                self.prover.stats.cache_hits - started_hits
+    def _enforce(self, func_name):
+        """The procedure's ``enforce`` invariant Ω (Section 5.1), or None."""
+        scope = self.predicates.in_scope(func_name)
+        if not (self.options.compute_enforce and scope):
+            return None
+        if self.reuse is None:
+            return self.search.enforce_expr(scope)
+        key = self.analysis.enforce_key(func_name)
+        hit, enforce = self.reuse.fetch_enforce(key)
+        if not hit:
+            enforce = self.search.enforce_expr(scope)
+            self.reuse.store_enforce(key, enforce)
+        return enforce
+
+    def _statement_part(self, func, index, stmt):
+        """One top-level statement's translated part: from the reuse
+        cache when one is attached and its key is unchanged, else freshly
+        translated (and then cached)."""
+        if self.reuse is None:
+            return self._translate_statement(func, index, stmt)
+        key = self.analysis.statement_key(func, index, stmt)
+        part = self.reuse.fetch(key)
+        if part is None:
+            part = self._translate_statement(func, index, stmt)
+            self.reuse.store(
+                key,
+                part["stmts"],
+                part["temps"],
+                part["temp_meanings"],
+                part["c2bp"],
             )
-        self._maybe_validate(boolean_program)
-        return boolean_program
+        else:
+            for name, value in part["c2bp"].items():
+                setattr(self.stats, name, getattr(self.stats, name) + value)
+        return part
 
     _COUNTER_FIELDS = (
         "assignments_abstracted",
@@ -287,11 +253,7 @@ class C2bp:
         }
         meanings_before = set(self.temp_meanings)
         proc_abs = _ProcedureAbstractor(self, func, temp_prefix="__rc%d_" % index)
-        translated = proc_abs._abstract_stmt(stmt)
-        if stmt.labels:
-            if not translated:
-                translated = [B.BSkip()]
-            translated[0].labels = list(stmt.labels) + list(translated[0].labels)
+        translated = proc_abs._abstract_body([stmt])
         temp_meanings = []
         for key in list(self.temp_meanings):
             if key not in meanings_before:
@@ -315,166 +277,6 @@ class C2bp:
 
             validate_bool_program(boolean_program)
 
-    def _run_parallel(self, pool):
-        """The ``--jobs N`` path: fan top-level statements and per-procedure
-        enforce computations out to the context's persistent worker pool,
-        then merge the pieces and every accounting delta."""
-        started_calls = self.prover.stats.calls
-        started_queries = self.prover.stats.queries
-        started_hits = self.prover.stats.cache_hits
-        with self.context.phase("c2bp"), Timer(self.stats):
-            boolean_program = B.BProgram()
-            boolean_program.globals = [p.name for p in self.predicates.globals]
-            funcs = list(self.program.defined_functions())
-            # With liveness on, Ω must be known before any statement task
-            # runs (its variables anchor the always-live set), so the
-            # enforce computations happen here, in the parent — the Ω
-            # expressions ship to the workers in the configure payload,
-            # which replay compute_liveness to identical facts instead of
-            # racing on enforce tasks.
-            precomputed = {}
-            if self.analysis is not None and self.analysis.live_enabled:
-                for func in funcs:
-                    before = self.prover.stats.calls
-                    enforce = None
-                    scope = self.predicates.in_scope(func.name)
-                    if self.options.compute_enforce and scope:
-                        enforce = self.search.enforce_expr(scope)
-                    self.analysis.compute_liveness(func.name, enforce)
-                    precomputed[func.name] = (
-                        enforce,
-                        self.prover.stats.calls - before,
-                    )
-            tasks = []
-            for func in funcs:
-                for index in range(len(func.body)):
-                    tasks.append(("stmt", func.name, index))
-                if (
-                    func.name not in precomputed
-                    and self.options.compute_enforce
-                    and self.predicates.in_scope(func.name)
-                ):
-                    tasks.append(("enforce", func.name, -1))
-            results = []
-            if tasks:
-                pool.configure(
-                    {
-                        "program": self.program,
-                        "predicates": self.predicates,
-                        "options": self.options.copy(jobs=1),
-                        "enforce": {
-                            name: enforce
-                            for name, (enforce, _) in precomputed.items()
-                        },
-                        # Only what the workers have not seen yet: the
-                        # pool remembers how much of the (append-only)
-                        # parent cache previous configures shipped.
-                        "cache": self.prover.cache.export_since(
-                            pool.shipped_cache_watermark
-                        ),
-                    }
-                )
-                pool.shipped_cache_watermark = len(self.prover.cache)
-                results = pool.run(tasks)
-            merged = {
-                func.name: {"parts": [], "enforce": None, "calls": 0}
-                for func in funcs
-            }
-            for func_name, (enforce, calls) in precomputed.items():
-                merged[func_name]["enforce"] = enforce
-                merged[func_name]["calls"] += calls
-            for task, result in zip(tasks, results):
-                kind, func_name, _ = task
-                self.prover.stats.merge(result["prover"])
-                self.prover.cache.absorb(result["cache"])
-                # Fold the workers' read-only store accounting into the
-                # parent's store (writes already happen here via absorb).
-                store_delta = result.get("store")
-                if store_delta and getattr(self.context, "store", None) is not None:
-                    self.context.store.merge_counters(store_delta)
-                # Fold the workers' SAT/CNF construction counters into the
-                # process-wide tallies, so benchmark rows measured under
-                # --jobs report real work instead of a blackout.
-                construction = result.get("construction")
-                if construction:
-                    for key, value in construction["sat"].items():
-                        sat_module.COUNTERS[key] += value
-                    for key, value in construction["cnf"].items():
-                        cnf_module.COUNTERS[key] += value
-                for name, value in result["c2bp"].items():
-                    setattr(self.stats, name, getattr(self.stats, name) + value)
-                if self.analysis is not None:
-                    for name, value in result.get("analysis", {}).items():
-                        setattr(
-                            self.analysis.stats,
-                            name,
-                            getattr(self.analysis.stats, name) + value,
-                        )
-                for event in result["events"]:
-                    data = {
-                        key: value
-                        for key, value in event.items()
-                        if key not in ("kind", "t")
-                    }
-                    self.context.events.emit(event["kind"], **data)
-                merged[func_name]["calls"] += result["prover"]["calls"]
-                if kind == "stmt":
-                    merged[func_name]["parts"].append(result)
-                else:
-                    merged[func_name]["enforce"] = result["enforce"]
-            for func in funcs:
-                entry = merged[func.name]
-                body = []
-                renamed_temps = []
-                mapping = {}
-                for part in entry["parts"]:
-                    # Worker temp names are task-namespaced (__rw<stmt>_<k>);
-                    # renumber to the serial __r<N> scheme in first-use order.
-                    for worker_name in part["temps"]:
-                        final_name = "__r%d" % len(renamed_temps)
-                        mapping[worker_name] = final_name
-                        renamed_temps.append(final_name)
-                    body.extend(part["stmts"])
-                    for (_, worker_name), meaning in part["temp_meanings"]:
-                        self.temp_meanings[(func.name, mapping[worker_name])] = (
-                            meaning
-                        )
-                if mapping:
-                    B.rename_stmt_variables(body, mapping)
-                signature = self.signatures[func.name]
-                local_predicates = self.predicates.for_procedure(func.name)
-                formal_names = [p.name for p in signature.formal_predicates]
-                local_names = [
-                    p.name
-                    for p in local_predicates
-                    if p not in signature.formal_predicates
-                ] + renamed_temps
-                boolean_program.add_procedure(
-                    B.BProcedure(
-                        func.name,
-                        formal_names,
-                        local_names,
-                        len(signature.return_predicates),
-                        body,
-                        entry["enforce"],
-                    )
-                )
-                self.stats.per_procedure[func.name] = entry["calls"]
-                self.context.events.emit(
-                    "c2bp-procedure",
-                    procedure=func.name,
-                    prover_calls=entry["calls"],
-                )
-            self.stats.program_statements = self.program.statement_count()
-            self.stats.predicate_count = len(self.predicates)
-            self.stats.prover_calls = self.prover.stats.calls - started_calls
-            self.stats.prover_queries = self.prover.stats.queries - started_queries
-            self.stats.prover_cache_hits = (
-                self.prover.stats.cache_hits - started_hits
-            )
-        self._maybe_validate(boolean_program)
-        return boolean_program
-
     def may_alias(self, func_name):
         """A two-location may-alias oracle bound to one procedure's scope,
         or None (assume-everything) when alias pruning is disabled."""
@@ -484,27 +286,21 @@ class C2bp:
 
 
 class _ProcedureAbstractor:
-    """Pass two for a single procedure."""
+    """Pass two for the statements of a single procedure."""
 
-    def __init__(self, parent, func, temp_prefix="__r"):
+    def __init__(self, parent, func, temp_prefix):
         self.parent = parent
         self.func = func
         self.signature = parent.signatures[func.name]
         # Scope = E_G followed by E_R (order is stable for output).
         self.scope_predicates = parent.predicates.in_scope(func.name)
-        self.local_predicates = parent.predicates.for_procedure(func.name)
         self._may_alias = parent.may_alias(func.name)
+        self._toucher = parent.toucher(func.name)
+        # Liveness is solved before any of the procedure's statements.
         analysis = parent.analysis
-        if analysis is not None:
-            self._toucher = analysis.toucher(func.name)
-            # Solved facts if liveness already ran for this procedure
-            # (reuse and parallel paths solve it up front, and a memoized
-            # predicate set keeps them); the serial path fills this in
-            # from abstract() once Ω is known.
-            self._liveness = analysis.liveness(func.name)
-        else:
-            self._toucher = TouchOracle(self._may_alias)
-            self._liveness = None
+        self._liveness = (
+            analysis.liveness(func.name) if analysis is not None else None
+        )
         self._temp_counter = 0
         self._temp_prefix = temp_prefix
         self._extra_locals = []
@@ -575,41 +371,6 @@ class _ProcedureAbstractor:
         return [c for c in candidates if id(c) in chosen]
 
     # -- statement translation ---------------------------------------------------
-
-    def _compute_enforce(self):
-        if self.parent.options.compute_enforce and self.scope_predicates:
-            return self.parent.search.enforce_expr(self.scope_predicates)
-        return None
-
-    def abstract(self):
-        analysis = self.parent.analysis
-        enforce = None
-        enforce_done = False
-        if analysis is not None and analysis.live_enabled:
-            # Liveness anchors the predicates Ω reads as always-live, so Ω
-            # is computed before the body.  The reorder is answer-neutral:
-            # both are independent cube searches against the same cached
-            # prover.
-            enforce = self._compute_enforce()
-            enforce_done = True
-            self._liveness = analysis.compute_liveness(self.func.name, enforce)
-        body = self._abstract_body(self.func.body)
-        if not enforce_done:
-            enforce = self._compute_enforce()
-        formal_names = [p.name for p in self.signature.formal_predicates]
-        local_names = [
-            p.name
-            for p in self.local_predicates
-            if p not in self.signature.formal_predicates
-        ] + self._extra_locals
-        return B.BProcedure(
-            self.func.name,
-            formal_names,
-            local_names,
-            len(self.signature.return_predicates),
-            body,
-            enforce,
-        )
 
     def _abstract_body(self, stmts):
         out = []

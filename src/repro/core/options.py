@@ -98,13 +98,9 @@ class C2bpOptions:
     #: (``--no-theory-incremental``) is the stateless reference.
     theory_incremental: bool = True
 
-    #: Worker processes for statement abstraction; 1 (the default) runs
-    #: serially in-process; 0 picks automatically from ``os.cpu_count()``
-    #: when the :class:`repro.engine.EngineContext` starts (1 on
-    #: single-core hosts, capped at :data:`repro.core.pool.MAX_AUTO_JOBS`
-    #: elsewhere).  The translated program is identical for any job
-    #: count, but only the serial path reuses statement translations
-    #: across CEGAR iterations and from the persistent store.
+    #: Kept only so existing callers that pin ``jobs=1`` keep working:
+    #: statement abstraction always runs serially in-process, and any
+    #: other value raises :class:`ValueError`.
     jobs: int = 1
 
     #: Master switch for the static-analysis subsystem
@@ -177,6 +173,13 @@ class C2bpOptions:
 
     #: Bit width of the two's-complement integers in those BMC runs.
     bmc_width: int = 16
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(
+                "jobs=%r: the statement worker pool was removed; C2bp "
+                "always runs serially (jobs=1)" % (self.jobs,)
+            )
 
     def copy(self, **overrides):
         return dataclasses.replace(self, **overrides)

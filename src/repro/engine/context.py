@@ -46,7 +46,6 @@ class EngineContext:
         cache=None,
         record_events=True,
         store=None,
-        store_readonly=False,
     ):
         if options is None:
             # Imported lazily: repro.core.abstractor imports this package,
@@ -55,15 +54,6 @@ class EngineContext:
             from repro.core.options import C2bpOptions
 
             options = C2bpOptions()
-        if getattr(options, "jobs", 1) == 0:
-            # ``jobs=0`` means "pick for this machine": resolve once at
-            # context startup so every consumer (abstractor, CEGAR loop,
-            # worker pool) sees the same concrete count.  Single-core
-            # hosts resolve to 1 — serial in-process, identical numbers
-            # to an explicit ``--jobs=1``.
-            from repro.core.pool import auto_jobs
-
-            options = options.copy(jobs=auto_jobs())
         self.options = options
         self.events = events if events is not None else EventBus(record=record_events)
         self.stats = stats if stats is not None else StatsRegistry()
@@ -87,7 +77,6 @@ class EngineContext:
             self.store = PersistentStore(
                 self.options.cache_dir,
                 max_bytes=getattr(self.options, "cache_max_bytes", None),
-                readonly=store_readonly,
             )
             self._owned_store = True
         else:
@@ -119,7 +108,6 @@ class EngineContext:
         self.stats.register("events", self.events)
         if self.store is not None:
             self.stats.register("persistent_cache", self.store.snapshot)
-        self._worker_pool = None
 
     @classmethod
     def ensure(cls, context=None, options=None, prover=None):
@@ -133,32 +121,10 @@ class EngineContext:
             return context
         return cls(options=options, prover=prover)
 
-    def worker_pool(self, jobs):
-        """The persistent statement-abstraction pool for ``--jobs`` runs
-        (:class:`repro.core.pool.StatementPool`), forked lazily on first
-        use and kept alive across abstraction runs and CEGAR iterations
-        until :meth:`close`.  Returns ``None`` on platforms without the
-        ``fork`` start method (callers fall back to serial translation).
-        A request with a different job count replaces the pool."""
-        pool = self._worker_pool
-        if pool is not None and pool.jobs != jobs:
-            pool.close()
-            pool = None
-        if pool is None:
-            # Imported lazily for the same cycle reason as C2bpOptions.
-            from repro.core.pool import create_pool
-
-            pool = create_pool(jobs)
-            self._worker_pool = pool
-        return pool
-
     def close(self):
-        """Release long-lived resources (the worker pool); idempotent.
+        """Release long-lived resources (an owned store); idempotent.
         Contexts also work as context managers: ``with EngineContext()``
         closes on exit."""
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
         if self._owned_store and self.store is not None:
             self.store.close()
 

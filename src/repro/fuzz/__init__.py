@@ -10,8 +10,8 @@ machines, not by curated examples.  The subsystem has three parts:
 - :mod:`repro.fuzz.oracle` — the trace-inclusion oracle (concrete
   execution replayed through the abstraction) plus differentials of each
   optimized engine against its one reference (allsat vs fresh-query
-  cubes, incremental vs stateless theory, serial vs ``--jobs``, symbolic
-  vs explicit-state Bebop);
+  cubes, incremental vs stateless theory, uncached vs ``--cache-dir``,
+  symbolic vs explicit-state Bebop);
 - :mod:`repro.fuzz.shrink` — a delta-debugging shrinker that minimizes
   any failing case, for check-in under ``tests/corpus/``.
 
@@ -28,7 +28,6 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.gen import FuzzCase, ProgramGenerator
 from repro.fuzz.oracle import (
-    KIND_ABSTRACTION,
     KIND_BMC,
     KIND_ENGINE,
     KIND_GENERATOR,
@@ -64,7 +63,6 @@ class FuzzResult:
         self.replays = 0
         self.assert_trips = 0
         self.explicit_checked = 0
-        self.jobs_checked = 0
         self.bmc_checked = 0
         self.prover_calls = 0
         self.failures = []  # CaseReport
@@ -80,7 +78,6 @@ class FuzzResult:
         self.replays += report.replays
         self.assert_trips += report.assert_trips
         self.explicit_checked += 1 if report.explicit_checked else 0
-        self.jobs_checked += 1 if report.jobs_checked else 0
         self.bmc_checked += 1 if report.bmc_checked else 0
         self.prover_calls += report.prover_calls
         for piece in case.fingerprint():
@@ -98,11 +95,10 @@ class FuzzResult:
         lines = [
             "fuzz: %d case(s), %d replay(s), %d assert-ended trace(s)"
             % (self.cases, self.replays, self.assert_trips),
-            "fuzz: %d explicit-engine check(s), %d --jobs differential(s), "
+            "fuzz: %d explicit-engine check(s), "
             "%d BMC differential(s), %d prover call(s)"
             % (
                 self.explicit_checked,
-                self.jobs_checked,
                 self.bmc_checked,
                 self.prover_calls,
             ),
@@ -134,7 +130,6 @@ class FuzzSession:
         self,
         seed=0,
         oracle=None,
-        jobs_stride=5,
         shrink=False,
         corpus_dir=None,
         max_shrink_attempts=600,
@@ -143,7 +138,6 @@ class FuzzSession:
     ):
         self.generator = ProgramGenerator(seed, bit_weight=bit_weight)
         self.oracle = oracle or SoundnessOracle()
-        self.jobs_stride = jobs_stride
         self.shrink = shrink
         self.corpus_dir = corpus_dir
         self.max_shrink_attempts = max_shrink_attempts
@@ -153,8 +147,7 @@ class FuzzSession:
         result = FuzzResult()
         for index in range(start, start + count):
             case = self.generator.generate(index)
-            check_jobs = bool(self.jobs_stride) and index % self.jobs_stride == 0
-            report = self.oracle.check(case, check_jobs=check_jobs)
+            report = self.oracle.check(case)
             result.record(case, report)
             if self.progress is not None:
                 self.progress(case, report)
@@ -162,7 +155,7 @@ class FuzzSession:
                 shrunk = shrink_case(
                     case,
                     report.kind,
-                    lambda c: self.oracle.check(c, check_jobs=False).kind,
+                    lambda c: self.oracle.check(c).kind,
                     max_attempts=self.max_shrink_attempts,
                 )
                 path = None

@@ -14,8 +14,7 @@ For one :class:`repro.fuzz.gen.FuzzCase` the oracle checks, in order:
    and a repeated (same store object, same program facts: the in-memory
    memo hits) content-addressed ``--cache-dir`` store (which must also
    preserve the model-checking verdict through the compiled-table round
-   trip), and (on a configurable stride, since a fork pool per case is
-   costly) between ``--jobs 1`` and ``--jobs 2``;
+   trip);
 3. **Engine agreement** — the explicit-state engine is Bebop's
    reference: it must agree on the reachable-failure *verdict*, on the
    reachable states at every label, and on the set of failing asserts
@@ -66,7 +65,6 @@ KIND_SOUNDNESS = "soundness"          # Theorem-1 replay violation
 KIND_ENGINE = "engine-divergence"     # symbolic / explicit Bebop disagree
 KIND_BMC = "bmc-divergence"           # bit-precise BMC / pipeline disagree
 KIND_ANALYSIS = "analysis-divergence"  # analysis on/off disagree
-KIND_ABSTRACTION = "abstraction-divergence"  # --jobs 1 / 2 text differs
 KIND_STRENGTHEN = "strengthen-divergence"  # allsat / fresh cubes differ
 KIND_THEORY = "theory-divergence"     # incremental / stateless theory differ
 KIND_CACHE = "cache-divergence"       # persistent cache changed bytes/verdict
@@ -85,7 +83,6 @@ class CaseReport:
         "replays",
         "assert_trips",
         "explicit_checked",
-        "jobs_checked",
         "cache_checked",
         "bmc_checked",
         "prover_calls",
@@ -98,7 +95,6 @@ class CaseReport:
         self.replays = 0
         self.assert_trips = 0
         self.explicit_checked = False
-        self.jobs_checked = False
         self.cache_checked = False
         self.bmc_checked = False
         self.prover_calls = 0
@@ -122,14 +118,12 @@ class SoundnessOracle:
 
     def __init__(
         self,
-        check_jobs=False,
         explicit_budget=60_000,
         max_steps=50_000,
         make_options=None,
         bmc_depth=16,
         bmc_width=16,
     ):
-        self.check_jobs = check_jobs
         self.explicit_budget = explicit_budget
         self.max_steps = max_steps
         # Bound and bit width for the BMC differential (oracle 4).  Width
@@ -142,7 +136,7 @@ class SoundnessOracle:
 
     # -- the individual oracles -------------------------------------------------
 
-    def check(self, case, check_jobs=None):
+    def check(self, case):
         report = CaseReport(case)
         try:
             program = parse_c_program(case.source, name=case.name)
@@ -191,20 +185,6 @@ class SoundnessOracle:
                 "incremental and --no-theory-incremental boolean programs "
                 "differ:\n" + _first_diff(printed, stateless_printed),
             )
-        jobs = self.check_jobs if check_jobs is None else check_jobs
-        if jobs:
-            _, jobs_bp = self._abstract(
-                facts, predicates,
-                self.make_options(validate_output=True, jobs=2),
-            )
-            jobs_printed = print_bool_program(jobs_bp)
-            report.jobs_checked = True
-            if jobs_printed != printed:
-                return report.fail(
-                    KIND_ABSTRACTION,
-                    "--jobs 1 and --jobs 2 boolean programs differ:\n"
-                    + _first_diff(printed, jobs_printed),
-                )
 
         # 2.4. Persistent-cache differential: a cold store population and
         # a warm reload must both print the uncached bytes and reach the
@@ -236,8 +216,7 @@ class SoundnessOracle:
         return self._check_replay(case, program, predicates, tool, boolean_program, report)
 
     def _abstract(self, facts, predicates, options, store=None):
-        # The context is closed on exit so a --jobs config cannot leak its
-        # worker pool across cases.
+        # The context is closed on exit, and with it any store it opened.
         with EngineContext(options=options, store=store) as context:
             tool = C2bp(facts.program, predicates, context=context, facts=facts)
             return tool, tool.run()

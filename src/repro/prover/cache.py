@@ -59,22 +59,6 @@ class QueryCache:
     def store(self, key, value):
         self._entries[key] = value
 
-    def export_since(self, start):
-        """The (key, value) pairs stored after the first ``start`` entries
-        (insertion order) — a worker process exports only what it added on
-        top of the state it inherited at fork time."""
-        if start <= 0:
-            return list(self._entries.items())
-        items = list(self._entries.items())
-        return items[start:]
-
-    def absorb(self, items):
-        """Merge exported (key, value) pairs (e.g. from a worker process)
-        into this cache.  Existing entries win — every process computes
-        the same deterministic answers, so conflicts are duplicates."""
-        for key, value in items:
-            self._entries.setdefault(key, value)
-
     def clear(self):
         self._entries.clear()
 

@@ -49,6 +49,19 @@ from repro.prover.sat import SatSolver
 from repro.prover.smt import Satisfiability, _minimize_core
 from repro.prover.theory import IncrementalTheory, check_literals
 
+#: The session counters that :class:`repro.prover.interface.ProverStats`
+#: accumulates under the same names: per-phase seconds plus the theory
+#: engine's delta-closure and fallback-cache accounting.
+SESSION_COUNTER_NAMES = (
+    "time_in_encode",
+    "time_in_solve",
+    "time_in_generalize",
+    "time_in_theory_closure",
+    "time_in_theory_cache",
+    "theory_delta_queries",
+    "theory_cache_hits",
+)
+
 
 class IncrementalCubeSession:
     """Assumption-based cube decisions against one fixed goal formula.
@@ -386,11 +399,6 @@ class IncrementalCubeSession:
         }
         if self._theory is not None:
             counters.update(self._theory.counters())
-        else:
-            counters.update(
-                theory_delta_queries=0,
-                theory_cache_hits=0,
-                time_in_theory_closure=0.0,
-                time_in_theory_cache=0.0,
-            )
+        for name in SESSION_COUNTER_NAMES:
+            counters.setdefault(name, 0)
         return counters

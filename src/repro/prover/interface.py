@@ -30,7 +30,7 @@ from repro.cfront import cast as C
 from repro.cfront.exprutils import fold_constants
 from repro.prover import terms as T
 from repro.prover.cache import QueryCache
-from repro.prover.incremental import IncrementalCubeSession
+from repro.prover.incremental import SESSION_COUNTER_NAMES, IncrementalCubeSession
 from repro.prover.smt import Satisfiability, check_formula
 
 
@@ -107,12 +107,6 @@ class ProverStats:
             "time_in_theory_closure": round(self.time_in_theory_closure, 6),
             "time_in_theory_cache": round(self.time_in_theory_cache, 6),
         }
-
-    def merge(self, snapshot):
-        """Add a :meth:`snapshot` dict into these counters (used to fold
-        parallel workers' prover accounting back into the parent)."""
-        for name, value in snapshot.items():
-            setattr(self, name, getattr(self, name, 0) + value)
 
     def __repr__(self):
         return "ProverStats(%r)" % (self.snapshot(),)
@@ -296,15 +290,7 @@ class CubeProverSession:
             )
             outcome, _ = throwaway.decide(cube)
             counters = throwaway.counters()
-            for name in (
-                "time_in_encode",
-                "time_in_solve",
-                "time_in_generalize",
-                "time_in_theory_closure",
-                "time_in_theory_cache",
-                "theory_delta_queries",
-                "theory_cache_hits",
-            ):
+            for name in SESSION_COUNTER_NAMES:
                 setattr(stats, name, getattr(stats, name) + counters.get(name, 0))
         else:
             outcome = prover.backend.check_implication(
@@ -336,15 +322,7 @@ class CubeProverSession:
         stats.lemmas_reused += (
             current["lemma_reuse_hits"] - self._synced["lemma_reuse_hits"]
         )
-        for name in (
-            "theory_delta_queries",
-            "theory_cache_hits",
-            "time_in_encode",
-            "time_in_solve",
-            "time_in_generalize",
-            "time_in_theory_closure",
-            "time_in_theory_cache",
-        ):
+        for name in SESSION_COUNTER_NAMES:
             setattr(
                 stats,
                 name,

@@ -42,7 +42,7 @@ FORMAT_VERSION = 1
 #: Compiler-generated temporaries subject to alpha-normalization: the
 #: ``__t<N>`` simplifier temps that reach prover queries, plus the
 #: ``__r...`` boolean-program temps should their meanings ever be queried.
-_TEMP_PATTERN = re.compile(r"\b__(?:t|r[cw]?)\d+(?:_\d+)?\b")
+_TEMP_PATTERN = re.compile(r"\b__(?:t|rc?)\d+(?:_\d+)?\b")
 
 #: The canonical replacement names (must never collide with real program
 #: identifiers; normalization is skipped when the guard below trips).

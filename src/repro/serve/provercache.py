@@ -1,15 +1,10 @@
 """A store-backed :class:`repro.prover.cache.QueryCache`.
 
 Drop-in for the in-memory cache on the :class:`repro.engine.EngineContext`
-spine: lookups fall through to the disk store on an in-memory miss, and
-every store/absorb writes through, so answers survive the process and are
-shared across runs, configurations, and serve clients.
-
-The in-memory dict stays authoritative for the export/absorb watermark
-discipline the worker pool uses: a disk hit is *inserted* into the dict
-(so it ships to workers like any other entry), and entries absorbed from
-workers are written through by the parent — workers themselves run with a
-``readonly`` store, never contending on writes.
+spine: lookups fall through to the disk store on an in-memory miss (a
+disk hit is promoted into the in-memory dict), and every store writes
+through, so answers survive the process and are shared across runs,
+configurations, and serve clients.
 """
 
 from repro.prover.cache import QueryCache
@@ -43,8 +38,8 @@ class PersistentQueryCache(QueryCache):
             return True, value
         hit, value = self.disk.get(self._key_text(key))
         if hit:
-            # Promote to memory so the watermark/export discipline (and
-            # future lookups) see it like any locally computed answer.
+            # Promote to memory so future lookups see it like any locally
+            # computed answer.
             self._entries[key] = value
             self.hits += 1
             self.disk_hits += 1
@@ -55,14 +50,6 @@ class PersistentQueryCache(QueryCache):
     def store(self, key, value):
         self._entries[key] = value
         self.disk.put(self._key_text(key), value)
-
-    def absorb(self, items):
-        for key, value in items:
-            if key not in self._entries:
-                self._entries[key] = value
-            # Parent-side write-through for worker-computed answers (the
-            # store skips keys already on disk).
-            self.disk.put(self._key_text(key), value)
 
     def snapshot(self):
         out = super().snapshot()

@@ -176,10 +176,9 @@ class ReproServer:
     def _request_options(self, fields):
         """Client option fields -> this request's :class:`C2bpOptions`.
 
-        Unknown keys are dropped (newer clients degrade gracefully); the
-        cache wiring is forced to the daemon's own store, and ``jobs=0``
-        resolves to 1 — a daemon answers many small requests, where a
-        per-request worker-pool fork costs more than it saves.
+        Unknown keys are dropped (newer clients degrade gracefully), and
+        the cache wiring is forced to the daemon's own store.  An invalid
+        value (``jobs`` other than 1) raises, which fails the request.
         """
         from repro.core.options import C2bpOptions
 
@@ -188,8 +187,6 @@ class ReproServer:
         options = C2bpOptions(**kwargs)
         options.cache_dir = None
         options.cache_max_bytes = None
-        if not options.jobs:
-            options.jobs = 1
         return options
 
     def _memo_evictions(self):

@@ -16,10 +16,8 @@ flipped bit on disk can cost wall-clock but never an answer.
 
 The store enforces an LRU byte cap (``max_bytes``): record files carry
 their access recency in mtime (touched on hit), and a put that pushes the
-total past the cap evicts oldest-first down to 90% of the cap.  Workers
-open the store ``readonly``: gets work, puts are silently dropped (their
-entries reach disk through the parent's write-through absorb — the same
-watermark/delta discipline the in-memory prover cache already uses).
+total past the cap evicts oldest-first down to 90% of the cap.  A store
+opened ``readonly`` answers gets and silently drops puts.
 """
 
 import hashlib
@@ -70,8 +68,7 @@ def decode_record(blob):
 class PersistentStore:
     """A sharded, size-capped, self-verifying record store."""
 
-    #: Counter names surfaced by :meth:`snapshot` and merged from worker
-    #: deltas by :meth:`merge_counters`.
+    #: Counter names surfaced by :meth:`snapshot`.
     COUNTER_FIELDS = (
         "hits",
         "misses",
@@ -262,18 +259,6 @@ class PersistentStore:
 
     def counters(self):
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def merge_counters(self, delta):
-        """Fold a worker's counter delta into this store's counters (the
-        ``namespaces`` sub-dict included, when present)."""
-        for name in self.COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + delta.get(name, 0))
-        for namespace, counts in delta.get("namespaces", {}).items():
-            entry = self._namespace_counts.setdefault(
-                namespace, {"hits": 0, "misses": 0}
-            )
-            for field, value in counts.items():
-                entry[field] = entry.get(field, 0) + value
 
     def counters_with_namespaces(self):
         out = self.counters()

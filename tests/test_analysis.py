@@ -405,6 +405,47 @@ def test_reuse_across_cegar_iterations():
     assert off.verdict == result.verdict
 
 
+def test_cegar_final_program_matches_one_shot_abstraction(monkeypatch):
+    """The loop's last boolean program, partly assembled from statements
+    reused from earlier iterations, is byte-identical to a one-shot C2bp
+    run at the loop's final predicate set that translates every statement
+    afresh, and so are the call-site temporaries' meanings."""
+    from repro.programs import get_driver
+    from repro.slam import SafetySpec, check_property
+    from repro.slam import cegar as cegar_module
+
+    runs = []
+
+    class RecordingC2bp(C2bp):
+        def run(self):
+            stats = self.context.analysis_stats
+            reused = stats.c2bp_stmts_reused
+            boolean_program = super().run()
+            runs.append((self, boolean_program, stats.c2bp_stmts_reused - reused))
+            return boolean_program
+
+    monkeypatch.setattr(cegar_module, "C2bp", RecordingC2bp)
+    driver = get_driver("floppy")
+    result = check_property(
+        driver.source,
+        SafetySpec.complete_exactly_once("IoCompleteRequest"),
+        entry=driver.entry,
+        context=EngineContext(),
+    )
+    assert result.cegar.iterations == len(runs) >= 2
+    loop_tool, loop_bp, reused = runs[-1]
+    assert reused > 0
+    assert loop_tool.temp_meanings
+
+    one_shot = C2bp(
+        loop_tool.program, loop_tool.predicates, context=EngineContext()
+    )
+    assert one_shot.reuse is None
+    one_shot_bp = one_shot.run()
+    assert print_bool_program(one_shot_bp) == print_bool_program(loop_bp)
+    assert one_shot.temp_meanings == loop_tool.temp_meanings
+
+
 # -- program facts and the per-predicate-set memo -------------------------------
 
 

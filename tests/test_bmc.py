@@ -491,7 +491,7 @@ def test_cli_bmc_depth_and_stats_json(tmp_path):
 
 def test_oracle_runs_bmc_differential():
     case = ProgramGenerator("bmc-oracle").generate(0)
-    report = SoundnessOracle().check(case, check_jobs=False)
+    report = SoundnessOracle().check(case)
     assert report.ok, report.detail
     assert report.bmc_checked
 
@@ -507,7 +507,6 @@ def test_fuzzer_finds_and_shrinks_injected_encoder_fault(monkeypatch, tmp_path):
     )
     session = FuzzSession(
         seed=2,
-        jobs_stride=0,
         shrink=True,
         corpus_dir=str(tmp_path),
         max_shrink_attempts=200,
@@ -532,7 +531,7 @@ def test_injected_fault_is_invisible_to_the_healthy_oracle():
     """The exact case the meta-test relies on is clean without the fault
     (so the corpus reproducer pins the fix, not a latent failure)."""
     case = ProgramGenerator(2).generate(36)
-    report = SoundnessOracle().check(case, check_jobs=False)
+    report = SoundnessOracle().check(case)
     assert report.ok, report.detail
 
 
@@ -560,14 +559,14 @@ def test_bit_weight_is_deterministic_and_emits_bit_constructs():
 
 @pytest.mark.fuzz_smoke
 def test_bit_weight_fuzz_smoke_is_clean():
-    result = FuzzSession(seed="bw-smoke", jobs_stride=0, bit_weight=True).run(4)
+    result = FuzzSession(seed="bw-smoke", bit_weight=True).run(4)
     assert result.ok, "\n".join(result.summary_lines())
     assert result.bmc_checked > 0
 
 
 def test_cli_fuzz_bit_weight_flag():
     code, text = _run_cli(
-        ["fuzz", "--count", "1", "--fuzz-seed", "bw-cli", "--jobs-stride", "0",
+        ["fuzz", "--count", "1", "--fuzz-seed", "bw-cli",
          "--bit-weight"]
     )
     assert code == 0, text

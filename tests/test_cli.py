@@ -152,6 +152,16 @@ def test_abstract_with_option_flags(partition_files):
     assert "void partition()" in output
 
 
+def test_jobs_flag_is_gone(partition_files, capsys):
+    """The worker pool and its ``--jobs`` flag were removed: argparse
+    rejects the flag (exit 2) instead of silently running serially."""
+    c_file, pred_file = partition_files
+    with pytest.raises(SystemExit) as excinfo:
+        main(["abstract", c_file, pred_file, "--jobs", "2"], out=io.StringIO())
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_abstract_with_all_ablation_flags(partition_files):
     c_file, pred_file = partition_files
     code, output = run_cli(

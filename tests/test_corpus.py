@@ -1,7 +1,7 @@
 """Regression corpus: every shrunk failure the fuzzer ever checked in
 replays cleanly through the full oracle — every optimized engine against
 its reference (symbolic vs explicit-state Bebop, allsat vs fresh-query
-cubes, incremental vs stateless theory, serial vs ``--jobs``) plus the
+cubes, incremental vs stateless theory, uncached vs ``--cache-dir``) plus the
 Theorem-1 trace replay."""
 
 import os
@@ -26,6 +26,6 @@ def test_corpus_is_seeded():
 
 @pytest.mark.parametrize("case", CORPUS, ids=lambda case: case.name)
 def test_corpus_entry_replays_clean(case):
-    report = SoundnessOracle().check(case, check_jobs=True)
+    report = SoundnessOracle().check(case)
     assert report.ok, "%s: %s" % (report.kind, report.detail)
     assert report.replays > 0 or report.assert_trips > 0

@@ -3,9 +3,11 @@ stats registry, event bus, and the backend registry."""
 
 import json
 
+import pytest
+
 from repro.cfront import cast as C
 from repro.cfront import parse_c_program
-from repro.core import C2bp, Predicate, PredicateSet
+from repro.core import C2bp, C2bpOptions, Predicate, PredicateSet
 from repro.engine import (
     EngineContext,
     EventBus,
@@ -141,6 +143,17 @@ def test_context_adopts_supplied_prover():
     assert prover.events is context.events
     assert EngineContext.ensure(context) is context
     assert EngineContext.ensure(None, prover=prover).prover is prover
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_jobs_other_than_one_is_rejected(jobs):
+    """The statement worker pool is gone: a stale job count fails loudly
+    instead of being silently ignored."""
+    with pytest.raises(ValueError, match="worker pool"):
+        C2bpOptions(jobs=jobs)
+    with pytest.raises(ValueError, match="worker pool"):
+        C2bpOptions().copy(jobs=jobs)
+    assert C2bpOptions(jobs=1).jobs == 1
 
 
 def test_backend_registry():

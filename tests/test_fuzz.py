@@ -24,7 +24,7 @@ pytestmark = pytest.mark.fuzz_smoke
 
 def test_fuzz_smoke_is_clean():
     """A fixed-seed batch: no soundness violations, no divergences."""
-    session = FuzzSession(seed="smoke", jobs_stride=5)
+    session = FuzzSession(seed="smoke")
     result = session.run(10)
     assert result.ok, "\n".join(result.summary_lines())
     assert result.cases == 10
@@ -43,8 +43,8 @@ def test_fuzz_generation_is_deterministic():
 def test_fuzz_session_digest_is_reproducible():
     """Two sessions with the same seed agree on the session digest (the
     property the CI fuzz-smoke job and the nightly job key on)."""
-    a = FuzzSession(seed="digest", jobs_stride=0).run(4)
-    b = FuzzSession(seed="digest", jobs_stride=0).run(4)
+    a = FuzzSession(seed="digest").run(4)
+    b = FuzzSession(seed="digest").run(4)
     assert a.ok and b.ok
     assert a.digest() == b.digest()
 
@@ -57,7 +57,7 @@ def test_fuzz_cli_subcommand():
 
     out = io.StringIO()
     code = main(
-        ["fuzz", "--count", "2", "--fuzz-seed", "cli", "--jobs-stride", "0"],
+        ["fuzz", "--count", "2", "--fuzz-seed", "cli"],
         out=out,
     )
     text = out.getvalue()
@@ -69,7 +69,7 @@ def test_fuzz_cli_subcommand():
 @pytest.mark.slow
 def test_fuzz_extended_batch():
     """The nightly-scale tier (excluded from the default run)."""
-    result = FuzzSession(seed="extended", jobs_stride=10).run(60)
+    result = FuzzSession(seed="extended").run(60)
     assert result.ok, "\n".join(result.summary_lines())
 
 
@@ -87,17 +87,17 @@ def test_fuzzer_finds_and_shrinks_injected_soundness_bug(monkeypatch):
     )
     oracle = SoundnessOracle()
     case = ProgramGenerator("0").generate(7)
-    report = oracle.check(case, check_jobs=False)
+    report = oracle.check(case)
     assert report.kind == KIND_SOUNDNESS, report.detail
 
     shrunk = shrink_case(
         case,
         KIND_SOUNDNESS,
-        lambda c: oracle.check(c, check_jobs=False).kind,
+        lambda c: oracle.check(c).kind,
     )
     assert shrunk.attempts > 0
     # The minimized case still exhibits the bug ...
-    assert oracle.check(shrunk.case, check_jobs=False).kind == KIND_SOUNDNESS
+    assert oracle.check(shrunk.case).kind == KIND_SOUNDNESS
     # ... and is no larger than the original.
     assert len(shrunk.case.source) <= len(case.source)
     assert len(shrunk.case.predicate_text) <= len(case.predicate_text)

@@ -1,4 +1,4 @@
-"""The incremental assumption-based cube engine and parallel abstraction.
+"""The incremental assumption-based cube engine.
 
 Three layers of guarantees:
 
@@ -9,8 +9,7 @@ Three layers of guarantees:
   cubes a fresh solver per cube does, on randomized instances
   (hypothesis), and the default strengthening prints the same boolean
   program as the fresh-query ``cubes`` reference on real programs;
-- ``--jobs``: the parallel statement abstraction emits a byte-identical
-  boolean program and merged accounting.
+- accounting: an abstraction run's prover stats, cache and events agree.
 """
 
 import itertools
@@ -270,31 +269,16 @@ def test_cube_session_shares_query_cache_with_implies():
     assert prover.stats.cache_hits == hits_before + 1
 
 
-# -- parallel statement abstraction --------------------------------------------------
+# -- abstraction accounting ---------------------------------------------------------
 
 
-def _abstract_qsort(options):
+def test_abstraction_reports_stats_cache_and_events():
     study = get_program("qsort")
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    context = EngineContext(options=options)
-    tool = C2bp(program, predicates, context=context)
-    return tool, tool.run()
-
-
-def test_parallel_abstraction_is_deterministic():
-    serial_tool, serial_bp = _abstract_qsort(C2bpOptions(jobs=1))
-    parallel_tool, parallel_bp = _abstract_qsort(C2bpOptions(jobs=3))
-    # qsort has two procedures and call-site temporaries, so this covers
-    # the worker temp renaming (__rw<stmt>_<k> -> __r<N>) and body merge.
-    serial_text = print_bool_program(serial_bp)
-    assert "__r0" in serial_text
-    assert serial_text == print_bool_program(parallel_bp)
-    assert serial_tool.temp_meanings == parallel_tool.temp_meanings
-
-
-def test_parallel_merges_stats_cache_and_events():
-    tool, _ = _abstract_qsort(C2bpOptions(jobs=3))
+    with EngineContext() as context:
+        tool = C2bp(program, predicates, context=context)
+        tool.run()
     assert tool.stats.prover_calls > 0
     assert tool.stats.per_procedure and all(
         calls >= 0 for calls in tool.stats.per_procedure.values()
@@ -305,22 +289,6 @@ def test_parallel_merges_stats_cache_and_events():
     assert "cube-test" in kinds and "c2bp-procedure" in kinds
     snapshot = tool.context.stats.snapshot()
     assert snapshot["c2bp"]["prover_calls"] == tool.stats.prover_calls
-
-
-def test_parallel_stats_match_serial_totals():
-    serial_tool, _ = _abstract_qsort(C2bpOptions(jobs=1))
-    parallel_tool, _ = _abstract_qsort(C2bpOptions(jobs=3))
-    # Counters that do not depend on cache hit distribution must agree.
-    assert serial_tool.stats.assignments_abstracted == (
-        parallel_tool.stats.assignments_abstracted
-    )
-    assert serial_tool.stats.conditionals_abstracted == (
-        parallel_tool.stats.conditionals_abstracted
-    )
-    assert serial_tool.stats.calls_abstracted == parallel_tool.stats.calls_abstracted
-    assert set(serial_tool.stats.per_procedure) == set(
-        parallel_tool.stats.per_procedure
-    )
 
 
 def test_incremental_session_decides_consistently():

@@ -5,10 +5,6 @@ Three layers:
 - **warm vs cold** — the same abstraction run against a ``--cache-dir``
   twice must print identical boolean programs, and the warm run must be
   answered from the store (no fresh prover calls);
-- **worker pool + store** — a ``--jobs 2`` run with a cache directory
-  follows the read-only-worker/write-through-parent discipline: workers'
-  hit/miss deltas are merged into the parent store's counters, and only
-  the parent writes records;
 - **the daemon** — ``repro serve`` round trip over a unix socket:
   batched requests, control ops, ``--remote`` output identical to a
   local run, clean shutdown with no orphan socket or process;
@@ -28,10 +24,7 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import C2bp, C2bpOptions, parse_predicate_file
-from repro.cfront import parse_c_program
-from repro.engine import EngineContext
-from repro.boolprog.printer import print_bool_program
+from repro.core import C2bpOptions
 from repro.programs import get_program
 
 _SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -126,60 +119,6 @@ def test_stats_json_schema(study_files, tmp_path):
         assert field in store, field
 
 
-# -- worker pool + store lifecycle -----------------------------------------
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="needs fork")
-def test_pool_and_cache_lifecycle(study_files, tmp_path):
-    study, _, _ = study_files
-    program = parse_c_program(study.source, name=study.name)
-    predicates = parse_predicate_file(study.predicate_text, program)
-    baseline_bp = None
-    with EngineContext(options=C2bpOptions(jobs=1)) as context:
-        baseline_bp = print_bool_program(
-            C2bp(program, predicates, context=context).run()
-        )
-    cache_dir = str(tmp_path / "cache")
-    for run in ("cold", "warm"):
-        options = C2bpOptions(jobs=2, cache_dir=cache_dir)
-        with EngineContext(options=options) as context:
-            printed = print_bool_program(
-                C2bp(program, predicates, context=context).run()
-            )
-            assert printed == baseline_bp, run
-            counters = context.store.counters_with_namespaces()
-        if run == "cold":
-            assert counters["writes"] > 0, "parent must write through"
-        else:
-            # Worker hit deltas must be visible in the parent's merged
-            # counters (the workers opened the store read-only).
-            assert counters["hits"] > 0, counters
-            assert counters["write_skips"] >= 0
-            assert "prover" in counters["namespaces"]
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="needs fork")
-@pytest.mark.parametrize("name", ["partition", "listfind"])
-def test_pool_run_with_program_facts_matches_serial(name):
-    """Facts stay in the parent: the pool pickles the bare program, and a
-    ``jobs=2`` run on facts a serial run has filled prints its bytes."""
-    import pickle
-
-    from repro.analysis import ProgramFacts
-
-    study = get_program(name)
-    program = parse_c_program(study.source, name=study.name)
-    facts = ProgramFacts(program)
-    printed = []
-    for jobs in (1, 2):
-        predicates = parse_predicate_file(study.predicate_text, program)
-        with EngineContext(options=C2bpOptions(jobs=jobs)) as context:
-            tool = C2bp(program, predicates, context=context, facts=facts)
-            printed.append(print_bool_program(tool.run()))
-    assert printed[0] == printed[1]
-    assert b"ProgramFacts" not in pickle.dumps(program)
-
-
 # -- the daemon ------------------------------------------------------------
 
 
@@ -237,6 +176,10 @@ def test_serve_round_trip_smoke(tmp_path):
                 {"op": "check", "source": "int main( {", "predicates": ""}
             )
             assert not broken["ok"] and "error" in broken
+            assert client.ping()["ok"]
+            # A job count other than 1 names the removed worker pool.
+            stale = client.request(dict(request, options={"jobs": 2}))
+            assert not stale["ok"] and "worker pool" in stale["error"]
             assert client.ping()["ok"]
             assert client.shutdown()["ok"]
         assert proc.wait(timeout=15) == 0
@@ -330,7 +273,7 @@ def test_smoke_reuse_level_hits_are_private_copies(tmp_path):
     from repro.serve import PersistentAbstractionReuse, PersistentStore
 
     store = PersistentStore(str(tmp_path / "cache"))
-    options = C2bpOptions(jobs=1)
+    options = C2bpOptions()
     key = ("main", 0, 7, "x = 1;", (), ("p",), ("sig",), "live-off")
     stmt = B.BAssign(["p"], [B.BConst(True)])
     stmt.labels = ["L1"]
@@ -582,7 +525,7 @@ def test_smoke_memoized_programs_are_read_only(tmp_path):
     for driver in all_drivers():
         base = {
             "op": "slam", "source": driver.source, "name": driver.name,
-            "entry": driver.entry, "options": {"jobs": 1},
+            "entry": driver.entry,
         }
         requests.append(
             dict(base, lock=["KeAcquireSpinLock", "KeReleaseSpinLock"])

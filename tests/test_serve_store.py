@@ -144,20 +144,6 @@ def test_readonly_store_skips_writes(tmp_path):
     assert not writer.contains("k2")
 
 
-def test_merge_counters_folds_worker_deltas(tmp_path):
-    store = PersistentStore(str(tmp_path))
-    store.put("prover|v1|q", "a")
-    store.get("prover|v1|q")
-    store.merge_counters(
-        {"hits": 3, "misses": 2, "namespaces": {"prover": {"hits": 3, "misses": 2}}}
-    )
-    assert store.hits == 4 and store.misses == 2
-    assert store.counters_with_namespaces()["namespaces"]["prover"] == {
-        "hits": 4,
-        "misses": 2,
-    }
-
-
 # -- canonical key stability -----------------------------------------------
 
 _TEMPLATES = (
@@ -254,7 +240,7 @@ def test_store_keys_are_namespaced_and_versioned():
 def test_options_fingerprint_tracks_semantic_fields_only():
     base = C2bpOptions()
     assert options_fingerprint(base) == options_fingerprint(
-        base.copy(strengthen="cubes", jobs=4, cache_dir="/elsewhere")
+        base.copy(strengthen="cubes", cache_dir="/elsewhere")
     )
     for field in SEMANTIC_OPTION_FIELDS:
         current = getattr(base, field)
@@ -322,7 +308,7 @@ def _partition_checker_inputs():
     study = get_program("partition")
     program = parse_c_program(study.source, name=study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    with EngineContext(options=C2bpOptions(jobs=1)) as context:
+    with EngineContext() as context:
         return C2bp(program, predicates, context=context).run(), study.entry
 
 

@@ -1,4 +1,4 @@
-"""The strengthening-strategy layer and the persistent worker pool.
+"""The strengthening-strategy layer.
 
 Four groups of guarantees:
 
@@ -8,17 +8,13 @@ Four groups of guarantees:
   corpus programs, and the printed boolean programs are byte-identical;
 - **Core policy** — sessions opened with ``want_cores=False`` (the
   reference's throwaway path) skip unsat-core mapping entirely;
-- **Pool lifecycle** — the persistent :class:`StatementPool` shuts down
-  deterministically (no zombie processes after ``close()``), survives
-  reuse across runs on one context, re-raises a failing worker
-  statement with the original traceback, and merges the workers' prover
-  statistics;
+- **Prover statistics** — a real abstraction run reports its prover
+  work: queries, time attribution, session solves and catalog answers;
 - **Oracle coverage** — an injected catalog bug and an injected session
   core bug are caught by the fuzz oracle as ``strengthen-divergence``.
 """
 
 import io
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +23,12 @@ from repro import C2bp, parse_c_program, parse_predicate_file
 from repro.boolprog.printer import print_bool_program
 from repro.cfront import parse_expression
 from repro.core import C2bpOptions
-from repro.core import abstractor as abstractor_module
 from repro.core.cubes import (
     AllSatStrategy,
     CubeEnumerationStrategy,
     CubeSearch,
     make_strategy,
 )
-from repro.core.pool import WorkerError
 from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_STRENGTHEN, SoundnessOracle
@@ -166,7 +160,7 @@ def test_want_cores_default_still_shrinks():
     assert prover.stats.core_shrinks == 1
 
 
-# -- pool lifecycle -------------------------------------------------------------------
+# -- prover statistics ----------------------------------------------------------------
 
 
 def _study_inputs(name):
@@ -176,32 +170,11 @@ def _study_inputs(name):
     return program, predicates
 
 
-def test_pool_persists_across_runs_and_closes_clean():
+def test_prover_stats_engage():
+    """An abstraction run reports real prover work — queries, time
+    attribution, incremental-session solves and AllSAT catalog answers."""
     program, predicates = _study_inputs("partition")
-    serial = print_bool_program(
-        C2bp(program, predicates, options=C2bpOptions(jobs=1)).run()
-    )
-    with EngineContext(options=C2bpOptions(jobs=2)) as context:
-        first = print_bool_program(C2bp(program, predicates, context=context).run())
-        pool = context._worker_pool
-        assert pool is not None
-        second = print_bool_program(C2bp(program, predicates, context=context).run())
-        # Same long-lived pool served both runs.
-        assert context._worker_pool is pool
-        assert first == serial and second == serial
-    assert context._worker_pool is None
-    for process in multiprocessing.active_children():
-        process.join(timeout=5)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_merged_prover_stats_engage(jobs):
-    """Serial and pooled runs both report real prover work — queries,
-    time attribution, incremental-session solves and AllSAT catalog
-    answers — with the workers' counters merged into the parent's."""
-    program, predicates = _study_inputs("partition")
-    with EngineContext(options=C2bpOptions(jobs=jobs)) as context:
+    with EngineContext() as context:
         C2bp(program, predicates, context=context).run()
         stats = context.prover.stats
     assert stats.queries > 0 and stats.calls > 0
@@ -209,37 +182,6 @@ def test_merged_prover_stats_engage(jobs):
     assert stats.assumption_solves > 0
     assert stats.allsat_sweeps > 0 and stats.allsat_models > 0
     assert stats.allsat_model_hits > 0
-
-
-def test_pool_closed_after_private_context_run():
-    program, predicates = _study_inputs("partition")
-    tool = C2bp(program, predicates, options=C2bpOptions(jobs=2))
-    tool.run()
-    # The run created (and must have closed) its own pool.
-    assert tool.context._worker_pool is None
-    for process in multiprocessing.active_children():
-        process.join(timeout=5)
-    assert multiprocessing.active_children() == []
-
-
-def test_failing_worker_statement_surfaces_traceback(monkeypatch):
-    program, predicates = _study_inputs("partition")
-
-    def boom(self, stmt):
-        raise RuntimeError("injected worker failure")
-
-    # The pool forks after the patch, so workers inherit it.
-    monkeypatch.setattr(
-        abstractor_module._ProcedureAbstractor, "_abstract_stmt", boom
-    )
-    with EngineContext(options=C2bpOptions(jobs=2)) as context:
-        with pytest.raises(WorkerError) as excinfo:
-            C2bp(program, predicates, context=context).run()
-        assert "injected worker failure" in str(excinfo.value)
-        assert "RuntimeError" in excinfo.value.remote_traceback
-    for process in multiprocessing.active_children():
-        process.join(timeout=5)
-    assert multiprocessing.active_children() == []
 
 
 # -- oracle coverage ------------------------------------------------------------------
@@ -257,7 +199,7 @@ def test_oracle_catches_injected_catalog_bug(monkeypatch):
     oracle = SoundnessOracle()
     for seed in range(8):
         case = ProgramGenerator("strengthen").generate(seed)
-        report = oracle.check(case, check_jobs=False)
+        report = oracle.check(case)
         if report.kind == KIND_STRENGTHEN:
             return
     raise AssertionError("no generated case exposed the injected catalog bug")
@@ -277,7 +219,7 @@ def test_oracle_catches_injected_session_core_bug(monkeypatch):
     oracle = SoundnessOracle()
     for seed in range(8):
         case = ProgramGenerator("strengthen").generate(seed)
-        report = oracle.check(case, check_jobs=False)
+        report = oracle.check(case)
         if report.kind == KIND_STRENGTHEN:
             return
     raise AssertionError("no generated case exposed the injected core bug")

@@ -14,9 +14,9 @@
   push/pop restores every bound, negative cycles flip the flag.
 - **Wiring** — end-to-end byte-identity of the abstraction with the
   engine on vs ``--no-theory-incremental`` (flag + counters), the
-  discharger's distinct stats key, auto ``--jobs`` resolution, and an
-  injected-engine-bug meta-test proving the fuzz oracle's
-  ``theory-divergence`` check catches a corrupted fast path.
+  discharger's distinct stats key, and an injected-engine-bug meta-test
+  proving the fuzz oracle's ``theory-divergence`` check catches a
+  corrupted fast path.
 """
 
 import io
@@ -30,7 +30,6 @@ from repro.boolprog.printer import print_bool_program
 from repro.cfront import parse_expression
 from repro.core import C2bpOptions
 from repro.core.cubes import CubeSearch
-from repro.core import pool as pool_module
 from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_THEORY, SoundnessOracle
@@ -404,33 +403,6 @@ def test_discharged_queries_use_distinct_stats_key():
     assert prover.stats.time_in_generalize == 0.0
 
 
-# -- auto jobs ------------------------------------------------------------------------
-
-
-def test_auto_jobs_resolution(monkeypatch):
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
-    assert pool_module.auto_jobs() == 1
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 2)
-    assert pool_module.auto_jobs() == 2
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 16)
-    assert pool_module.auto_jobs() == pool_module.MAX_AUTO_JOBS
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: None)
-    assert pool_module.auto_jobs() == 1
-
-
-def test_engine_context_resolves_auto_jobs(monkeypatch):
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 8)
-    with EngineContext(options=C2bpOptions(jobs=0)) as context:
-        assert context.options.jobs == pool_module.MAX_AUTO_JOBS
-    # Explicit job counts pass through untouched.
-    with EngineContext(options=C2bpOptions(jobs=1)) as context:
-        assert context.options.jobs == 1
-    monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
-    with EngineContext(options=C2bpOptions(jobs=0)) as context:
-        assert context.options.jobs == 1
-    assert C2bpOptions().jobs == 1  # the default is serial; 0 asks for auto
-
-
 # -- oracle coverage ------------------------------------------------------------------
 
 
@@ -452,7 +424,7 @@ def test_oracle_catches_injected_theory_bug(monkeypatch):
     oracle = SoundnessOracle()
     for seed in range(8):
         case = ProgramGenerator("theory").generate(seed)
-        report = oracle.check(case, check_jobs=False)
+        report = oracle.check(case)
         if report.kind == KIND_THEORY:
             return
     raise AssertionError("no generated case exposed the injected theory bug")
