@@ -22,7 +22,7 @@ import threading
 
 from repro.boolprog import ast as B
 
-# Both bounds below are sized on the ``serve-edit-loop`` benchmark, whose
+# The bounds below are sized on the ``serve-edit-loop`` benchmark, whose
 # traffic (60 % resubmissions of 18 texts, 40 % one-off edits) is an
 # assumed mix, not a measured one.  The measurements are in
 # docs/PERFORMANCE.md, "Program facts, the program memo and the frozen
@@ -44,6 +44,16 @@ PROGRAM_CAPACITY = 32
 #: texts, so this bound is never reached; it only caps the set's size
 #: in a long-lived daemon.
 SEEN_ONCE_CAPACITY = 1024
+
+#: Bebop answers a reuse level keeps, least recently used first out.
+#: One round of ``serve-edit-loop`` makes 18 entries: its 500 requests
+#: run 521 CEGAR iterations over only 18 distinct checked programs up to
+#: skips and comments.  An entry is a 40-character digest (89 bytes) and
+#: a bool: 1024 of them take about 165 KB, 75 KB of it the dict's own
+#: (measured with tracemalloc).  So the bound holds far more programs
+#: than ``PROGRAM_CAPACITY`` at no real cost, and only caps the memo of
+#: a long-lived daemon.
+ANSWER_CAPACITY = 1024
 
 
 def clone_stmts(stmts):
@@ -86,7 +96,9 @@ class ReuseLevel:
     store-backed subclass shares the one on its persistent store, so there
     it lives as long as the store object does.  That level also memoizes
     lowered programs with their facts (:meth:`program`), so a daemon that
-    sees a text again skips its front end and analyses.
+    sees a text again skips its front end and analyses, and Bebop's
+    answer per checked boolean program (:meth:`answer`), so a CEGAR loop
+    that meets a program Bebop already checked skips Bebop.
     """
 
     def __init__(self):
@@ -101,23 +113,27 @@ class ReuseLevel:
         #: analyses of memoized programs (:meth:`count_eviction`).  A
         #: daemon reads it to learn that warm state was let go.
         self.program_evictions = 0
-        # A daemon's flush clears the memo from the event loop while the
-        # compute thread may be inside program().
-        self._programs_lock = threading.Lock()
+        #: Bebop's answers by :func:`repro.bebop.reachability_key`:
+        #: whether a failing assert is reachable (:meth:`answer`).
+        self.answers = collections.OrderedDict()  # key -> error_reached
+        self.answer_hits = 0
+        # A daemon's flush clears both memos from the event loop while the
+        # compute thread may be inside program() or answer().
+        self._memo_lock = threading.Lock()
 
     def program(self, key, build):
         """The ``(program, facts)`` entry for ``key``, from the memo or
         from ``build()``.  A built entry is admitted on the key's second
         sighting; the caller must treat an entry as read-only either
         way."""
-        with self._programs_lock:
+        with self._memo_lock:
             entry = self.programs.get(key)
             if entry is not None:
                 self.programs.move_to_end(key)
                 self.program_hits += 1
                 return entry
         entry = build()
-        with self._programs_lock:
+        with self._memo_lock:
             if self._seen_once.pop(key, False):
                 self.programs[key] = entry
                 self.program_admissions += 1
@@ -130,21 +146,39 @@ class ReuseLevel:
                     self._seen_once.popitem(last=False)
         return entry
 
+    def answer(self, key):
+        """The memoized ``error_reached`` for a reachability key, or
+        None when Bebop has not checked such a program yet."""
+        with self._memo_lock:
+            reached = self.answers.get(key)
+            if reached is not None:
+                self.answers.move_to_end(key)
+                self.answer_hits += 1
+            return reached
+
+    def record_answer(self, key, error_reached):
+        with self._memo_lock:
+            self.answers[key] = error_reached
+            if len(self.answers) > ANSWER_CAPACITY:
+                self.answers.popitem(last=False)
+
     def count_eviction(self):
         """Note that a memoized program's facts dropped an entry."""
-        with self._programs_lock:
+        with self._memo_lock:
             self.program_evictions += 1
 
     def clear(self):
         """Empty the level; returns how many entries it dropped."""
-        with self._programs_lock:
+        with self._memo_lock:
             dropped = (
                 len(self.statements) + len(self.enforce) + len(self.programs)
+                + len(self.answers)
             )
             self.statements.clear()
             self.enforce.clear()
             self.programs.clear()
             self._seen_once.clear()
+            self.answers.clear()
         return dropped
 
     def snapshot(self):
@@ -156,6 +190,8 @@ class ReuseLevel:
             "program_hits": self.program_hits,
             "program_admissions": self.program_admissions,
             "program_evictions": self.program_evictions,
+            "bebop_answers": len(self.answers),
+            "bebop_answer_hits": self.answer_hits,
         }
 
 

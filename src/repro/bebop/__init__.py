@@ -17,7 +17,7 @@ counterexample paths (hierarchical traces) and, through
 differentially tested against.
 """
 
-from repro.bebop.checker import Bebop, BebopResult
+from repro.bebop.checker import Bebop, BebopResult, reachability_key
 from repro.bebop.explicit import ExplicitEngine, explicit_divergence
 from repro.bebop.reuse import BebopReuse
 
@@ -27,4 +27,5 @@ __all__ = [
     "BebopReuse",
     "ExplicitEngine",
     "explicit_divergence",
+    "reachability_key",
 ]

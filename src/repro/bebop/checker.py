@@ -76,6 +76,68 @@ def procedure_fingerprint(program, proc):
     return hashlib.sha1(repr(parts).encode()).hexdigest()
 
 
+def _reachability_body(stmts):
+    """A body's key parts: every statement but an unlabeled skip, without
+    comments or source ids."""
+    parts = []
+    for stmt in stmts:
+        if isinstance(stmt, B.BSkip) and not stmt.labels:
+            continue
+        if isinstance(stmt, B.BAssign):
+            fields = (stmt.targets, [print_bool_expr(v) for v in stmt.values])
+        elif isinstance(stmt, (B.BAssume, B.BAssert)):
+            fields = print_bool_expr(stmt.cond)
+        elif isinstance(stmt, B.BIf):
+            fields = (
+                print_bool_expr(stmt.cond),
+                _reachability_body(stmt.then_body),
+                _reachability_body(stmt.else_body),
+            )
+        elif isinstance(stmt, B.BWhile):
+            fields = (print_bool_expr(stmt.cond), _reachability_body(stmt.body))
+        elif isinstance(stmt, B.BCall):
+            fields = (stmt.targets, stmt.name, [print_bool_expr(a) for a in stmt.args])
+        elif isinstance(stmt, B.BReturn):
+            fields = [print_bool_expr(v) for v in stmt.values]
+        elif isinstance(stmt, B.BGoto):
+            fields = stmt.label
+        else:  # a labeled skip
+            fields = None
+        parts.append((type(stmt).__name__, stmt.labels, fields))
+    return parts
+
+
+def reachability_key(program, main):
+    """A digest that is equal for two boolean programs whose Bebop runs
+    from ``main`` reach a failing assert alike: ``main``, the globals, and
+    each procedure's name, formals, locals, returns, enforce and body.
+
+    The body walk drops every unlabeled ``skip``, at any depth, and every
+    statement's comment.  That is sound: a skip node's transfer is the
+    identity ``copy`` and every join applies the (idempotent) enforce
+    invariant, so removing it leaves the states at every other node
+    unchanged; an empty branch or loop body edges straight to its
+    follow node with the same states.  No transfer reads a comment.  A
+    labeled skip stays, because a goto may target it; gotos, labels and
+    every other statement stay as they are."""
+    parts = (
+        main,
+        tuple(program.globals),
+        [
+            (
+                name,
+                tuple(proc.formals),
+                tuple(proc.locals),
+                proc.returns,
+                print_bool_expr(proc.enforce) if proc.enforce is not None else "",
+                _reachability_body(proc.body),
+            )
+            for name, proc in program.procedures.items()
+        ],
+    )
+    return hashlib.sha1(repr(parts).encode()).hexdigest()
+
+
 class CompiledTransfer:
     """An assignment as a relation: ``exists targets (pe and constraint)``
     then shadow→current rename (a level shift)."""

@@ -16,11 +16,12 @@ run, warm caches aside.  Compute is serialized through a single worker
 thread: concurrent clients multiplex on the event loop (connects, frame
 parsing, control ops stay responsive) while verification jobs queue.
 
-The warm state -- the prover cache, the store's statement level and its
-memo of lowered programs with their analyses -- outlives every request,
-so after each compute request the daemon collects the request's garbage
-and freezes what survives (:func:`gc.freeze`): later full collections
-scan only the objects younger than that, not the whole warm heap.
+The warm state -- the prover cache, the store's statement level, its
+memo of lowered programs with their analyses and its memo of Bebop's
+answers -- outlives every request, so after each compute request the
+daemon collects the request's garbage and freezes what survives
+(:func:`gc.freeze`): later full collections scan only the objects
+younger than that, not the whole warm heap.
 This module alone decides when to thaw (:func:`gc.unfreeze`): ``flush``
 thaws before it drops the warm state, so the next request's collection
 reclaims it, and a request during which the store's reuse level counted
@@ -30,7 +31,8 @@ analyses) thaws before its own collection.
 Control ops: ``ping``, ``stats`` (server counters, per-op compute times,
 the compute-queue depth, cache snapshots, collector state), ``flush``
 (drop the warm in-memory caches -- the prover cache and the store's
-statement/enforce/program level -- and keep the disk store), and
+statement/enforce/program/Bebop-answer level -- and keep the disk
+store), and
 ``shutdown`` (reply, then exit cleanly).
 """
 

@@ -16,8 +16,7 @@ flipped bit on disk can cost wall-clock but never an answer.
 
 The store enforces an LRU byte cap (``max_bytes``): record files carry
 their access recency in mtime (touched on hit), and a put that pushes the
-total past the cap evicts oldest-first down to 90% of the cap.  A store
-opened ``readonly`` answers gets and silently drops puts.
+total past the cap evicts oldest-first down to 90% of the cap.
 """
 
 import hashlib
@@ -81,19 +80,18 @@ class PersistentStore:
         "cache_corrupt_records",
     )
 
-    def __init__(self, root, max_bytes=None, readonly=False):
+    def __init__(self, root, max_bytes=None):
         self.root = os.path.abspath(root)
         self.max_bytes = max_bytes
-        self.readonly = readonly
         self._total_bytes = None  # lazy: scanned on first capped put
         self._namespace_counts = {}  # namespace -> {"hits": n, "misses": n}
         #: Decoded statement/enforce payloads above the disk
-        #: (:mod:`repro.serve.abscache`), kept for this object's lifetime.
+        #: (:mod:`repro.serve.abscache`), the program memo and Bebop's
+        #: answers, kept for this object's lifetime.
         self.reuse_level = ReuseLevel()
         for name in self.COUNTER_FIELDS:
             setattr(self, name, 0)
-        if not readonly:
-            os.makedirs(self.root, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
 
     # -- paths -----------------------------------------------------------------
 
@@ -144,7 +142,7 @@ class PersistentStore:
         self.hits += 1
         self.bytes_read += len(blob)
         self._count_namespace(key_text, "hits")
-        try:  # refresh LRU recency; best-effort (readonly mounts etc.)
+        try:  # refresh LRU recency; best-effort (read-only mounts etc.)
             os.utime(path)
         except OSError:
             pass
@@ -154,12 +152,9 @@ class PersistentStore:
         return os.path.exists(self._path(key_text))
 
     def put(self, key_text, value, overwrite=False):
-        """Write one record atomically; no-op when readonly, and (unless
-        ``overwrite``) when the record already exists — answers are
-        deterministic, so the first write wins and rewrites are waste."""
-        if self.readonly:
-            self.write_skips += 1
-            return False
+        """Write one record atomically; a no-op (unless ``overwrite``) when
+        the record already exists — answers are deterministic, so the
+        first write wins and rewrites are waste."""
         path = self._path(key_text)
         if not overwrite and os.path.exists(path):
             self.write_skips += 1
@@ -243,8 +238,6 @@ class PersistentStore:
 
     def clear(self):
         """Delete every record (``flush`` with ``disk=true``)."""
-        if self.readonly:
-            return 0
         removed = 0
         for _, _, path in self._scan():
             if self._remove(path):
@@ -274,7 +267,6 @@ class PersistentStore:
             for name, entry in sorted(self._namespace_counts.items())
         }
         out["root"] = self.root
-        out["readonly"] = self.readonly
         out["max_bytes"] = self.max_bytes
         out["reuse_level"] = self.reuse_level.snapshot()
         return out

@@ -24,7 +24,7 @@ from repro.analysis import (
     eliminate_dead_variables,
     ensure_analysis_stats,
 )
-from repro.bebop import Bebop, BebopReuse, ExplicitEngine
+from repro.bebop import Bebop, BebopReuse, ExplicitEngine, reachability_key
 from repro.cfront import cast as C
 from repro.cfront.exprutils import variables
 from repro.core import C2bp, PredicateSet
@@ -38,6 +38,9 @@ class IterationStats:
 
     ``prover_calls``/``prover_queries``/``cache_hits`` are deltas for this
     iteration only (C2bp plus Newton), not running totals.
+    ``bebop_answers_reused`` is 1 when the store's memo answered the
+    iteration's reachability question and Bebop did not run (its
+    transfer counters are then 0).
     """
 
     __slots__ = (
@@ -50,6 +53,7 @@ class IterationStats:
         "seconds",
         "bebop_transfers_compiled",
         "bebop_transfers_reused",
+        "bebop_answers_reused",
         "predicates_skipped_dead",
         "queries_discharged_interval",
         "bp_vars_eliminated",
@@ -67,6 +71,7 @@ class IterationStats:
         cache_hits=0,
         bebop_transfers_compiled=0,
         bebop_transfers_reused=0,
+        bebop_answers_reused=0,
         predicates_skipped_dead=0,
         queries_discharged_interval=0,
         bp_vars_eliminated=0,
@@ -81,6 +86,7 @@ class IterationStats:
         self.seconds = seconds
         self.bebop_transfers_compiled = bebop_transfers_compiled
         self.bebop_transfers_reused = bebop_transfers_reused
+        self.bebop_answers_reused = bebop_answers_reused
         self.predicates_skipped_dead = predicates_skipped_dead
         self.queries_discharged_interval = queries_discharged_interval
         self.bp_vars_eliminated = bp_vars_eliminated
@@ -97,6 +103,7 @@ class IterationStats:
             "seconds": round(self.seconds, 6),
             "bebop_transfers_compiled": self.bebop_transfers_compiled,
             "bebop_transfers_reused": self.bebop_transfers_reused,
+            "bebop_answers_reused": self.bebop_answers_reused,
             "predicates_skipped_dead": self.predicates_skipped_dead,
             "queries_discharged_interval": self.queries_discharged_interval,
             "bp_vars_eliminated": self.bp_vars_eliminated,
@@ -250,7 +257,12 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
     # refinement changes a few procedures; the rest check with the
     # transfer relations compiled in earlier iterations.
     persistent_tables = None
+    # Bebop's answers by reachability key, kept on the store's reuse level
+    # (a daemon meets the same checked program again; a store-less loop
+    # never does, so it keeps no memo).
+    answers = None
     if getattr(ctx, "store", None) is not None:
+        answers = ctx.store.reuse_level
         # A --cache-dir run: compiled tables also come from / go to the
         # content-addressed store, so unchanged procedures skip
         # recompilation across *runs*, not just across iterations.
@@ -301,9 +313,16 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
             checked_program, _ = eliminate_dead_variables(
                 boolean_program, stats=analysis_stats
             )
-        bebop = Bebop(checked_program, main=main, context=ctx, reuse=reuse)
-        check = bebop.run()
-        if not check.error_reached:
+        bebop = error_reached = None
+        if answers is not None:
+            answer_key = reachability_key(checked_program, main)
+            error_reached = answers.answer(answer_key)
+        if error_reached is None:
+            bebop = Bebop(checked_program, main=main, context=ctx, reuse=reuse)
+            error_reached = bebop.run().error_reached
+            if answers is not None:
+                answers.record_answer(answer_key, error_reached)
+        if not error_reached:
             result = CegarResult("safe", iteration, predicates,
                                  boolean_program=boolean_program)
         else:
@@ -360,13 +379,14 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
         record = IterationStats(
             len(predicates),
             engine_prover.stats.calls - calls_before,
-            check.error_reached,
+            error_reached,
             time.perf_counter() - iter_start,
             iteration=iteration,
             prover_queries=engine_prover.stats.queries - queries_before,
             cache_hits=engine_prover.stats.cache_hits - hits_before,
-            bebop_transfers_compiled=bebop.transfers_compiled,
-            bebop_transfers_reused=bebop.transfers_reused,
+            bebop_transfers_compiled=bebop.transfers_compiled if bebop else 0,
+            bebop_transfers_reused=bebop.transfers_reused if bebop else 0,
+            bebop_answers_reused=int(bebop is None),
             predicates_skipped_dead=_delta("predicates_skipped_dead"),
             queries_discharged_interval=_delta("queries_discharged_interval"),
             bp_vars_eliminated=_delta("bp_vars_eliminated"),

@@ -4,11 +4,13 @@ for the reporting APIs."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bebop import Bebop, ExplicitEngine, explicit_divergence
+from repro.analysis.reuse import clone_stmts
+from repro.bebop import Bebop, ExplicitEngine, explicit_divergence, reachability_key
 from repro.boolprog import (
     BAssert,
     BAssign,
     BAssume,
+    BCall,
     BChoose,
     BConst,
     BIf,
@@ -142,3 +144,96 @@ def test_labels_listing():
     )
     result = Bebop(program).run()
     assert result.labels("main") == ["A", "B"]
+
+
+# -- the reachability key ---------------------------------------------------------
+
+
+_COMMENTS = st.none() | st.sampled_from(["", "x = 0;", "// skip", "L: goto M;"])
+
+
+@st.composite
+def padded_bodies(draw, stmts):
+    """Copies of ``stmts`` with unlabeled skips inserted at every depth
+    and every comment rewritten."""
+    padded = []
+    for stmt in stmts + [None]:
+        for _ in range(draw(st.integers(0, 2))):
+            skip = BSkip()
+            skip.comment = draw(_COMMENTS)
+            padded.append(skip)
+        if stmt is None:
+            break
+        (copy,) = clone_stmts([stmt])
+        if isinstance(copy, BIf):
+            copy.then_body = draw(padded_bodies(stmt.then_body))
+            copy.else_body = draw(padded_bodies(stmt.else_body))
+        elif isinstance(copy, BWhile):
+            copy.body = draw(padded_bodies(stmt.body))
+        copy.comment = draw(_COMMENTS)
+        padded.append(copy)
+    return padded
+
+
+def _with_main_body(program, body):
+    main = program.procedures["main"]
+    copy = BProgram()
+    copy.globals = list(program.globals)
+    copy.add_procedure(
+        BProcedure("main", main.formals, main.locals, main.returns, body,
+                   enforce=main.enforce)
+    )
+    return copy
+
+
+def _error_reached(program):
+    symbolic = Bebop(program).run().error_reached
+    explicit = ExplicitEngine(program, max_configs=200_000)
+    assert symbolic == (explicit.find_assertion_failure() is not None)
+    return symbolic
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reachability_key_ignores_unlabeled_skips_and_comments(data):
+    """Padding a program with unlabeled skips (nested bodies included) and
+    rewriting its comments keeps its key, and Bebop's answer on both
+    programs is the explicit engine's."""
+    program = data.draw(bool_programs())
+    body = program.procedures["main"].body
+    padded = _with_main_body(program, data.draw(padded_bodies(body)))
+    validate_bool_program(padded)
+    assert reachability_key(padded, "main") == reachability_key(program, "main")
+    assert _error_reached(padded) == _error_reached(program)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bool_programs())
+def test_reachability_key_tracks_labels_conditions_enforce_and_calls(program):
+    key = reachability_key(program, "main")
+    body = program.procedures["main"].body
+
+    labeled = clone_stmts(body)
+    labeled[0].labels.append("M")
+    assert reachability_key(_with_main_body(program, labeled), "main") != key
+
+    changed = clone_stmts(body) + [BAssert(BVar("a")), BAssume(BVar("b"))]
+    changed_key = reachability_key(_with_main_body(program, changed), "main")
+    assert changed_key != key
+    for index in (-1, -2):
+        flipped = clone_stmts(changed)
+        flipped[index].cond = BNot(flipped[index].cond)
+        flipped_key = reachability_key(_with_main_body(program, flipped), "main")
+        assert flipped_key != changed_key
+
+    enforced = _with_main_body(program, clone_stmts(body))
+    enforced.procedures["main"].enforce = BVar("a")
+    assert reachability_key(enforced, "main") != key
+
+    keys = set()
+    for target in ("f", "g"):
+        calling = _with_main_body(program, clone_stmts(body) + [BCall([], target, [])])
+        for name in ("f", "g"):
+            calling.add_procedure(BProcedure(name, [], [], 0, [BSkip()]))
+        keys.add(reachability_key(calling, "main"))
+    assert len(keys) == 2

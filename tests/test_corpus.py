@@ -4,11 +4,13 @@ its reference (symbolic vs explicit-state Bebop, allsat vs fresh-query
 cubes, incremental vs stateless theory, uncached vs ``--cache-dir``) plus the
 Theorem-1 trace replay."""
 
+import json
 import os
 
 import pytest
 
 from repro.fuzz import SoundnessOracle, load_corpus
+from repro.fuzz import oracle
 
 pytestmark = pytest.mark.fuzz_smoke
 
@@ -22,6 +24,18 @@ def test_corpus_is_seeded():
     names = [case.name for case in CORPUS]
     assert "call-global-return-binding" in names
     assert "bmc-phi-merge-first-edge" in names
+
+
+def test_corpus_kinds_are_oracle_kinds():
+    """Each entry records the failure kind it was found as; that must be
+    a kind the oracle still reports."""
+    kinds = {
+        value for name, value in vars(oracle).items() if name.startswith("KIND_")
+    }
+    for filename in sorted(os.listdir(CORPUS_DIR)):
+        if filename.endswith(".json"):
+            with open(os.path.join(CORPUS_DIR, filename)) as handle:
+                assert json.load(handle)["kind"] in kinds, filename
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=lambda case: case.name)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import C2bpOptions
-from repro.programs import get_program
+from repro.programs import get_driver, get_program
 
 _SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -600,3 +600,106 @@ def test_program_memo_survives_concurrent_flush(monkeypatch):
     assert not any(t.is_alive() for t in workers + [flusher])
     assert not errors
     assert len(level.programs) <= 2
+
+
+# -- Bebop's answer memo -----------------------------------------------------
+
+
+_LOCK = ["KeAcquireSpinLock", "KeReleaseSpinLock"]
+
+
+def _slam_request(source):
+    return {
+        "op": "slam", "source": source, "name": "floppy", "entry": "main",
+        "lock": _LOCK, "max_iterations": 8,
+    }
+
+
+def _storeless_slam(source):
+    from repro.cli import run_slam
+    from repro.engine import EngineContext
+    from repro.slam.spec import SafetySpec
+
+    out = io.StringIO()
+    with EngineContext() as context:
+        run_slam(context, source, SafetySpec.lock_discipline(*_LOCK), out,
+                 max_iterations=8)
+    return out.getvalue()
+
+
+def _without_counts(output):
+    """A slam reply without its per-iteration prover counts, which a warm
+    store legitimately lowers."""
+    return [
+        line.split(":")[0] if line.startswith("  iteration ") else line
+        for line in output.splitlines()
+    ]
+
+
+def test_smoke_bebop_answer_memo_round_trip(tmp_path, monkeypatch):
+    """A live daemon answers a resubmitted driver and a predicate-irrelevant
+    edit of it from the Bebop answer memo, and a verdict-changing edit
+    (one lock acquire deleted) from Bebop.  Every reply is byte-identical
+    to a daemon without the memo fed the same requests, and matches a
+    store-less run up to its prover counts (a warm store lowers them);
+    ``flush`` empties the memo, and the replies after it still match the
+    memo-less daemon's."""
+    from repro.analysis import reuse
+    from repro.serve.client import ServeClient
+    from repro.serve.server import ReproServer
+
+    source = get_driver("floppy").source
+    irrelevant = source.replace(
+        "int floppy_read(int length) {\n",
+        "int floppy_read(int length) {\n    int fresh;\n    fresh = 7;\n",
+    )
+    unsafe = source.replace("    KeAcquireSpinLock();\n", "", 1)
+    assert irrelevant != source and unsafe != source
+    sources = [source, source, irrelevant, unsafe, unsafe]
+
+    proc, sock = _start_daemon(tmp_path, "--cache-dir", str(tmp_path / "cache"))
+    try:
+        with ServeClient.connect_unix(sock, timeout=120) as client:
+            replies, hits = [], []
+            for text in sources:
+                reply = client.request(_slam_request(text))
+                assert reply["ok"], reply
+                replies.append(reply["output"])
+                level = client.stats()["persistent_cache"]["reuse_level"]
+                hits.append(level["bebop_answer_hits"])
+            assert client.flush()["ok"]
+            level = client.stats()["persistent_cache"]["reuse_level"]
+            assert level["bebop_answers"] == 0
+            flushed = [client.request(_slam_request(text))["output"]
+                       for text in sources[:3]]
+            assert client.shutdown()["ok"]
+        assert proc.wait(timeout=15) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    # The resubmit, the irrelevant edit and the unsafe resubmit each answer
+    # at least one iteration from the memo; the priming request and the
+    # unsafe edit's first sighting answer none.
+    assert hits[0] == 0
+    assert hits[1] > hits[0] and hits[2] > hits[1]
+    assert hits[3] == hits[2] and hits[4] > hits[3]
+    assert replies[3].startswith("verdict: unsafe")
+
+    monkeypatch.setattr(reuse, "ANSWER_CAPACITY", 0)
+    reference = ReproServer(cache_dir=str(tmp_path / "reference"))
+    try:
+        expected = [reference._run_job(_slam_request(text))["output"]
+                    for text in sources]
+        reference._op_flush({})
+        expected_flushed = [reference._run_job(_slam_request(text))["output"]
+                            for text in sources[:3]]
+        assert reference.store.reuse_level.answer_hits == 0
+    finally:
+        reference._executor.shutdown()
+    assert replies == expected
+    assert flushed == expected_flushed
+    for text, reply in zip(sources + sources[:3], replies + flushed):
+        assert _without_counts(reply) == _without_counts(_storeless_slam(text))
+    assert replies[0] == _storeless_slam(source)

@@ -1,8 +1,9 @@
 """Tests for the content-addressed persistent store and its key scheme.
 
 Covers the record format (self-verification, corrupt-record handling as
-an injected-bug meta-test), the store's LRU byte cap and read-only mode,
-and — with hypothesis — the process-stability of the canonical key
+an injected-bug meta-test), the store's LRU byte cap, byte-identical
+cold/warm/near-repeat runs against one store, and — with hypothesis —
+the process-stability of the canonical key
 texts: alpha-renaming generated temps, reordering or duplicating
 antecedents, and whitespace must not change a key, while semantically
 different queries must not collide.
@@ -15,6 +16,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import C2bp, parse_c_program, parse_predicate_file
+from repro.boolprog.printer import print_bool_program
 from repro.cfront import parse_expression
 from repro.serve import (
     PersistentStore,
@@ -29,6 +32,8 @@ from repro.serve.bebopcache import deserialize_table, serialize_table
 from repro.serve.keys import SEMANTIC_OPTION_FIELDS
 from repro.serve.store import decode_record, encode_record
 from repro.core import C2bpOptions
+from repro.engine import EngineContext
+from repro.programs import get_program
 
 
 # -- record format ---------------------------------------------------------
@@ -134,14 +139,45 @@ def test_lru_eviction_respects_cap_and_recency(tmp_path):
     assert not store.contains("k1"), "oldest untouched record must be evicted"
 
 
-def test_readonly_store_skips_writes(tmp_path):
-    writer = PersistentStore(str(tmp_path))
-    writer.put("k", "v")
-    reader = PersistentStore(str(tmp_path), readonly=True)
-    assert reader.get("k") == (True, "v")
-    assert not reader.put("k2", "v2")
-    assert reader.write_skips == 1
-    assert not writer.contains("k2")
+#: The near-repeat edit: a new procedure appended after the existing
+#: text, so every earlier statement's identity (and store key) is
+#: untouched.  The ``__pad`` names cannot collide with corpus code.
+NEAR_REPEAT_PAD = "\nint __pad(int __pad_x) { return __pad_x; }\n"
+
+
+def _abstract(study, source, cache_dir):
+    """One corpus program through C2bp: its printed boolean program, the
+    prover calls it made, and the store's counters."""
+    program = parse_c_program(source, study.name)
+    predicates = parse_predicate_file(study.predicate_text, program)
+    with EngineContext(options=C2bpOptions(cache_dir=cache_dir)) as context:
+        tool = C2bp(program, predicates, context=context)
+        text = print_bool_program(tool.run())
+        store = context.store.counters() if context.store is not None else {}
+        return text, tool.prover.stats.calls, store
+
+
+@pytest.mark.parametrize("name", ("partition", "listfind"))
+def test_store_runs_print_uncached_bytes(name, tmp_path):
+    """Cold and warm runs against one store print the uncached boolean
+    program; the warm run answers at least 95 % of its lookups from the
+    store with zero prover calls, and a near-repeat (one new trailing
+    procedure) prints its uncached bytes while hitting the unchanged
+    statements."""
+    study = get_program(name)
+    cache_dir = str(tmp_path / "cache")
+    baseline, _, _ = _abstract(study, study.source, None)
+    cold, _, _ = _abstract(study, study.source, cache_dir)
+    warm, warm_calls, warm_store = _abstract(study, study.source, cache_dir)
+    assert cold == warm == baseline
+    assert warm_calls == 0
+    lookups = warm_store["hits"] + warm_store["misses"]
+    assert warm_store["hits"] >= 0.95 * lookups
+    edited = study.source + NEAR_REPEAT_PAD
+    edited_baseline, _, _ = _abstract(study, edited, None)
+    near, _, near_store = _abstract(study, edited, cache_dir)
+    assert near == edited_baseline
+    assert near_store["hits"] > 0
 
 
 # -- canonical key stability -----------------------------------------------
