@@ -15,7 +15,7 @@ The package implements the paper's full toolchain:
 - **Bebop**, the boolean-program model checker (:mod:`repro.bebop`);
 - **Newton**, predicate discovery from spurious paths (:mod:`repro.newton`);
 - the **SLAM** toolkit for temporal safety properties (:mod:`repro.slam`);
-- the unified engine spine — context, events, stats, prover backends
+- the unified engine spine — context, events, stats
   (:mod:`repro.engine`);
 - the experiment corpus (:mod:`repro.programs`).
 

@@ -87,24 +87,6 @@ def _add_option_flags(parser):
         help="keep (rather than invalidate) predicates whose WP dereferences a constant",
     )
     parser.add_argument(
-        "--strengthen",
-        choices=("allsat", "cubes"),
-        default="allsat",
-        help="strengthening strategy for the F/G cube searches: 'allsat' "
-        "answers the SAT-side cube queries from an incremental model "
-        "sweep (default); 'cubes' decides every cube with a fresh prover "
-        "query (the reference); the boolean program is byte-identical "
-        "either way",
-    )
-    parser.add_argument(
-        "--no-theory-incremental",
-        action="store_true",
-        help="stateless theory consistency check per query instead of the "
-        "per-session incremental engine (delta-closure difference bounds "
-        "+ cached reference fallback); verdicts and boolean programs are "
-        "identical either way",
-    )
-    parser.add_argument(
         "--validate-bp",
         action="store_true",
         help="run the boolean-program validator on BP(P, E) before using it "
@@ -142,11 +124,6 @@ def _add_option_flags(parser):
         "statement abstractions, and compiled Bebop tables survive the "
         "process (created on first use; output is byte-identical with "
         "or without it)",
-    )
-    parser.add_argument(
-        "--no-persistent-cache",
-        action="store_true",
-        help="ignore --cache-dir (keep every cache in-process)",
     )
     parser.add_argument(
         "--cache-max-bytes",
@@ -194,14 +171,11 @@ def _options_from(args):
         enforce_cube_length=args.enforce_cube_length,
         use_alias_analysis=not args.no_alias,
         invalidate_constant_derefs=not args.no_invalidate_derefs,
-        theory_incremental=not args.no_theory_incremental,
-        strengthen=args.strengthen,
         use_analysis=not args.no_analysis,
         live_predicates=not args.no_live_predicates,
         intervals=not args.no_intervals,
         bp_dce=not args.no_bp_dce,
         cache_dir=args.cache_dir,
-        persistent_cache=not args.no_persistent_cache,
         cache_max_bytes=args.cache_max_bytes,
         validate_output=args.validate_bp,
         bmc_confirm=args.bmc_confirm,

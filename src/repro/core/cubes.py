@@ -19,26 +19,23 @@ exponentially many; the Section 5.2 optimizations implemented here are:
 - the syntactic shortcut returns the variable directly when ``φ`` (or its
   negation) is literally a predicate of ``V``.
 
-*How* the cube space is explored is a pluggable
-:class:`StrengtheningStrategy`:
+The search runs on one strengthening route, :class:`AllSatStrategy`: the
+paper's increasing-length enumeration with superset pruning, on one
+incremental assumption-based session per search
+(:meth:`repro.prover.Prover.cube_session`) whose assumption cores prune
+supersets early, backed by a :class:`repro.prover.allsat.ModelCatalog`:
+one AllSAT sweep enumerates theory-validated models of ``¬φ ∧ axioms``
+projected onto the candidates, and each stored projection answers all the
+SAT-side cube queries it covers with a tuple comparison instead of a
+solver + theory-check loop.
 
-- :class:`CubeEnumerationStrategy` — the paper's increasing-length
-  enumeration with superset pruning, every cube one fresh prover query;
-  the reference the optimized strategy is differentially tested against;
-- :class:`AllSatStrategy` — the same enumeration order (so the kept cube
-  lists, and hence the printed boolean program, are byte-identical) on
-  one incremental assumption-based session per search, whose assumption
-  cores prune supersets early, backed by a
-  :class:`repro.prover.allsat.ModelCatalog`: one AllSAT sweep enumerates
-  theory-validated models of ``¬φ ∧ axioms`` projected onto the
-  candidates, and each stored projection answers all the SAT-side cube
-  queries it covers with a tuple comparison instead of a solver +
-  theory-check loop.
-
-The strategy owns the session policy: the reference's throwaway
-per-query sessions never map or validate assumption cores (nobody reads
-them), so the audited core-validation code path runs only in the
-incremental session that uses it.
+:class:`CubeEnumerationStrategy` is the reference it is differentially
+tested against: the same enumeration order, every cache miss one fresh
+query on a throwaway session, no catalog and no assumption cores.  It is
+not reachable from the options or the CLI; the fuzz oracle and the tests
+install it on a search (``tool.search.strategy``).  Both return
+identical kept-cube lists, so the printed boolean program is
+byte-identical either way.
 """
 
 import itertools
@@ -46,7 +43,7 @@ import itertools
 from repro.cfront import cast as C
 from repro.cfront.exprutils import fold_constants, is_trivially_false, is_trivially_true
 from repro.boolprog import ast as B
-from repro.prover.allsat import ModelCatalog
+from repro.prover.interface import FreshCubeProverSession
 
 
 class Cube(tuple):
@@ -60,32 +57,10 @@ _KEEP = "keep"
 _PRUNE = "prune"
 
 
-class StrengtheningStrategy:
-    """How a :class:`CubeSearch` explores the cube space.
-
-    A strategy owns session opening (incrementality, core policy, model
-    catalog) and the enumeration loops behind :meth:`CubeSearch.implicant_cubes`
-    and :meth:`CubeSearch.inconsistent_cubes`.  All strategies must
-    return identical kept-cube lists — they differ only in how many
-    prover decides it takes to get there."""
-
-    name = "?"
-
-    def open_session(self, search, candidates, goal):
-        raise NotImplementedError
-
-    def search_implicants(self, search, candidates, phi, limit):
-        raise NotImplementedError
-
-    def search_inconsistent(self, search, candidates, limit):
-        raise NotImplementedError
-
-
-class CubeEnumerationStrategy(StrengtheningStrategy):
+class CubeEnumerationStrategy:
     """The paper's Section 5.2 search: enumerate cubes in increasing
-    length with superset pruning, one prover decide per undecided cube."""
-
-    name = "cubes"
+    length with superset pruning, one fresh prover query per undecided
+    cube (the reference)."""
 
     def _enumerate(self, candidates, limit, classify):
         """The shared pruning enumeration.
@@ -124,13 +99,8 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
         """A cube-decision session over the candidates' concretizations
         against ``goal`` that answers every cache miss with a fresh
         prover query (no assumption cores)."""
-        return search.prover.cube_session(
-            [candidate.expr for candidate in candidates],
-            goal,
-            incremental=False,
-            theory_incremental=getattr(
-                search.options, "theory_incremental", True
-            ),
+        return FreshCubeProverSession(
+            search.prover, [candidate.expr for candidate in candidates], goal
         )
 
     def search_implicants(self, search, candidates, phi, limit):
@@ -178,50 +148,20 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
 
 class AllSatStrategy(CubeEnumerationStrategy):
     """Cube enumeration on incremental sessions backed by AllSAT model
-    catalogs.
+    catalogs — the one strengthening route of the pipeline.
 
     Same enumeration order and prover-decide semantics as
     :class:`CubeEnumerationStrategy` — the outputs are byte-identical —
-    but each search runs on one incremental session (assumption cores
-    prune supersets) carrying a :class:`ModelCatalog` whose one-time
-    model sweep answers the SAT-side cube queries (the bulk of a
-    strengthening call) without touching the solver or the theory
-    checker.  Requires the backend's incremental cube capability."""
-
-    name = "allsat"
+    but each search runs on one :meth:`Prover.cube_session
+    <repro.prover.Prover.cube_session>`: assumption cores prune
+    supersets, and its model catalog's one-time sweep answers the
+    SAT-side cube queries (the bulk of a strengthening call) without
+    touching the solver or the theory checker."""
 
     def open_session(self, search, candidates, goal):
         return search.prover.cube_session(
-            [candidate.expr for candidate in candidates],
-            goal,
-            incremental=True,
-            catalog=ModelCatalog(),
-            theory_incremental=getattr(
-                search.options, "theory_incremental", True
-            ),
+            [candidate.expr for candidate in candidates], goal
         )
-
-
-_STRATEGIES = {
-    CubeEnumerationStrategy.name: CubeEnumerationStrategy,
-    AllSatStrategy.name: AllSatStrategy,
-}
-
-
-def make_strategy(spec):
-    """Resolve a strategy: a name from ``C2bpOptions.strengthen``, a
-    strategy instance (passes through), or ``None`` (the default)."""
-    if isinstance(spec, StrengtheningStrategy):
-        return spec
-    if spec is None:
-        spec = "allsat"
-    try:
-        return _STRATEGIES[spec]()
-    except KeyError:
-        raise ValueError(
-            "unknown strengthening strategy %r (available: %s)"
-            % (spec, ", ".join(sorted(_STRATEGIES)))
-        ) from None
 
 
 class CubeSearch:
@@ -238,7 +178,9 @@ class CubeSearch:
         # factor that the prover keeps opaque, so enabling it can turn a
         # prover "don't know" into a kept cube and change the output.
         self.discharger = discharger
-        self.strategy = make_strategy(getattr(options, "strengthen", None))
+        # Tests and the fuzz oracle replace this with the reference
+        # CubeEnumerationStrategy before running.
+        self.strategy = AllSatStrategy()
 
     def _decide(self, session, cube):
         """One cube implication, tried against the discharger first.

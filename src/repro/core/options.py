@@ -3,9 +3,11 @@
 Every optimization of the paper can be toggled off so the ablation
 benchmarks can measure its effect on the number of theorem prover calls;
 defaults match the configuration the paper reports results with.  The
-engine switches ``strengthen`` and ``theory_incremental`` instead select
-between an optimized engine and the one independent reference it is
-differentially tested against.
+engines themselves are not options: strengthening always runs on AllSAT
+sessions with the incremental theory, and the references they are
+differentially tested against (:class:`repro.core.cubes.CubeEnumerationStrategy`,
+``DpllTBackend(stateless_theory=True)``) are chosen by the fuzz oracle and
+the tests when they build the objects.
 """
 
 import dataclasses
@@ -14,10 +16,10 @@ import dataclasses
 #: The :class:`C2bpOptions` fields a statement's translation (and its
 #: enforce invariant, and the analyses behind both) can read: the fields
 #: that key every cache of translation inputs and outputs.  Deliberately
-#: excludes the answer-invisible knobs — ``strengthen``,
-#: ``theory_incremental``, ``cache_prover``, ``jobs``, ``bp_dce`` (a
-#: post-pass), ``validate_output``, and the cache wiring itself — so
-#: configurations that provably print the same bytes share entries.
+#: excludes the answer-invisible knobs — ``cache_prover``, ``jobs``,
+#: ``bp_dce`` (a post-pass), ``validate_output``, and the cache wiring
+#: itself — so configurations that provably print the same bytes share
+#: entries.
 SEMANTIC_OPTION_FIELDS = (
     "max_cube_length",
     "cone_of_influence",
@@ -79,25 +81,6 @@ class C2bpOptions:
     #: and is "undefined ... and thus invalidated" (Section 2.1).
     invalidate_constant_derefs: bool = True
 
-    #: Strengthening strategy for the F/G cube searches
-    #: (:mod:`repro.core.cubes`): ``"allsat"`` (the default — one
-    #: incremental assumption-based session per search, backed by an
-    #: AllSAT model catalog that answers the SAT-side cube queries from
-    #: swept, theory-validated model projections) or ``"cubes"`` (the
-    #: paper's procedure and the reference: every cube one fresh prover
-    #: query).  The kept cubes, and hence the printed boolean program,
-    #: are byte-identical either way.
-    strengthen: str = "allsat"
-
-    #: Answer the theory consistency checks of one cube session on a
-    #: persistent :class:`repro.prover.theory.IncrementalTheory` engine
-    #: (difference-bound delta closure for the arithmetic fragment, a
-    #: cached reference pipeline for the rest) instead of a stateless
-    #: check per query.  Verdicts are identical either way (the fuzz
-    #: oracle's ``theory-divergence`` check pins this); off
-    #: (``--no-theory-incremental``) is the stateless reference.
-    theory_incremental: bool = True
-
     #: Kept only so existing callers that pin ``jobs=1`` keep working:
     #: statement abstraction always runs serially in-process, and any
     #: other value raises :class:`ValueError`.
@@ -134,11 +117,6 @@ class C2bpOptions:
     #: a path makes prover answers, statement abstractions, and compiled
     #: Bebop tables survive the process (``--cache-dir``).
     cache_dir: str = None
-
-    #: Master switch for the disk store when ``cache_dir`` is set
-    #: (``--no-persistent-cache`` turns a configured directory off
-    #: without losing the path from the configuration).
-    persistent_cache: bool = True
 
     #: LRU byte cap for the persistent store; ``None`` means uncapped.
     #: When a write pushes the store past the cap, least-recently-used

@@ -1,4 +1,4 @@
-"""The unified engine spine: context, events, stats, prover backends.
+"""The unified engine spine: context, events, stats.
 
 This package is infrastructure, not paper reproduction: it gives the
 C2bp → Bebop → Newton → SLAM pipeline one instrumented
@@ -10,17 +10,13 @@ prover/stats/config object (:class:`EngineContext`) instead of loose
 - :mod:`repro.engine.events` — the structured :class:`EventBus`
   (phase/prover-query/cube-test/cegar-iteration events with timings);
 - :mod:`repro.engine.stats` — the :class:`StatsRegistry` subsuming the
-  per-layer stats objects behind one ``snapshot()``/``to_json()``;
-- :mod:`repro.engine.backends` — the :class:`ProverBackend` protocol and
-  registry (the built-in DPLL(T) stack registers as ``"dpllt"``).
+  per-layer stats objects behind one ``snapshot()``/``to_json()``.
+
+The prover backend is an object, not a name: ``EngineContext(backend=...)``
+takes any object with the members :mod:`repro.prover.interface` lists
+(default: :class:`repro.prover.DpllTBackend`).
 """
 
-from repro.engine.backends import (
-    ProverBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
 from repro.engine.context import EngineContext
 from repro.engine.events import EventBus
 from repro.engine.stats import IterationLog, PhaseAccumulator, StatsRegistry
@@ -30,9 +26,5 @@ __all__ = [
     "EventBus",
     "IterationLog",
     "PhaseAccumulator",
-    "ProverBackend",
     "StatsRegistry",
-    "available_backends",
-    "create_backend",
-    "register_backend",
 ]

@@ -27,7 +27,6 @@ keywords; they are shims that build a private context
 import contextlib
 import time
 
-from repro.engine.backends import create_backend
 from repro.engine.events import EventBus
 from repro.engine.stats import StatsRegistry
 from repro.prover import Prover, QueryCache
@@ -68,9 +67,7 @@ class EngineContext:
             self.store = cache.disk
         elif prover is not None and getattr(prover.cache, "disk", None) is not None:
             self.store = prover.cache.disk
-        elif getattr(self.options, "cache_dir", None) and getattr(
-            self.options, "persistent_cache", True
-        ):
+        elif getattr(self.options, "cache_dir", None):
             # Imported lazily: repro.serve imports the prover layer.
             from repro.serve import PersistentStore
 
@@ -100,7 +97,7 @@ class EngineContext:
             self.prover = Prover(
                 enable_cache=self.options.cache_prover,
                 cache=self.cache,
-                backend=create_backend(backend),
+                backend=backend,
                 events=self.events,
             )
         self.stats.register("prover", self.prover.stats)

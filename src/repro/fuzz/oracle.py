@@ -8,13 +8,14 @@ For one :class:`repro.fuzz.gen.FuzzCase` the oracle checks, in order:
 2. **Abstraction determinism** — the printed ``BP(P, E)`` must be
    byte-identical between the default ``allsat`` strengthening (one
    incremental session per search plus the model catalog) and the
-   ``cubes`` reference (one fresh prover query per cube), between the
-   incremental theory engine and the ``--no-theory-incremental``
-   stateless checker, between the uncached pipeline and a cold, a warm
-   and a repeated (same store object, same program facts: the in-memory
-   memo hits) content-addressed ``--cache-dir`` store (which must also
-   preserve the model-checking verdict through the compiled-table round
-   trip);
+   fresh-query reference (:class:`repro.core.cubes.CubeEnumerationStrategy`:
+   one fresh prover query per cube), between the incremental theory
+   engine and the stateless checker
+   (``DpllTBackend(stateless_theory=True)``), between the uncached
+   pipeline and a cold, a warm and a repeated (same store object, same
+   program facts: the in-memory memo hits) content-addressed
+   ``--cache-dir`` store (which must also preserve the model-checking
+   verdict through the compiled-table round trip);
 3. **Engine agreement** — the explicit-state engine is Bebop's
    reference: it must agree on the reachable-failure *verdict*, on the
    reachable states at every label, and on the set of failing asserts
@@ -56,9 +57,11 @@ from repro.cfront.interp import (
     Interpreter,
 )
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
+from repro.core.cubes import CubeEnumerationStrategy
 from repro.core.predicates import PredicateParseError
 from repro.core.replay import TraceReplayer
 from repro.engine import EngineContext
+from repro.prover import DpllTBackend
 
 #: Failure kinds, from most to least interesting.
 KIND_SOUNDNESS = "soundness"          # Theorem-1 replay violation
@@ -120,7 +123,6 @@ class SoundnessOracle:
         self,
         explicit_budget=60_000,
         max_steps=50_000,
-        make_options=None,
         bmc_depth=16,
         bmc_width=16,
     ):
@@ -131,8 +133,6 @@ class SoundnessOracle:
         # overflow behavior on the generator's near-INT16_MAX constants.
         self.bmc_depth = bmc_depth
         self.bmc_width = bmc_width
-        # Hook for bug-injection tests: build the C2bpOptions for a config.
-        self.make_options = make_options or (lambda **kw: C2bpOptions(**kw))
 
     # -- the individual oracles -------------------------------------------------
 
@@ -150,7 +150,7 @@ class SoundnessOracle:
         # 1+2. Abstraction under the default config, validated.
         try:
             tool, boolean_program = self._abstract(
-                facts, predicates, self.make_options(validate_output=True)
+                facts, predicates, C2bpOptions(validate_output=True)
             )
         except ValidationError as error:
             return report.fail(KIND_INVALID_BP, str(error))
@@ -158,31 +158,32 @@ class SoundnessOracle:
         printed = print_bool_program(boolean_program)
 
         # The incremental session and its AllSAT catalog must be
-        # answer-invisible: the ``cubes`` reference (every cube one fresh
-        # prover query) prints the same bytes.
+        # answer-invisible: the fresh-query reference (every cube one
+        # fresh prover query) prints the same bytes.
         _, cubes_bp = self._abstract(
-            facts, predicates,
-            self.make_options(validate_output=True, strengthen="cubes"),
+            facts, predicates, C2bpOptions(validate_output=True),
+            strategy=CubeEnumerationStrategy(),
         )
         cubes_printed = print_bool_program(cubes_bp)
         if cubes_printed != printed:
             return report.fail(
                 KIND_STRENGTHEN,
-                "allsat and cubes strengthening boolean programs differ:\n"
+                "allsat and fresh-query strengthening boolean programs "
+                "differ:\n"
                 + _first_diff(printed, cubes_printed),
             )
         # The incremental theory engine must be answer-invisible: pinning
         # every theory check to the stateless reference prints the same
         # bytes.
         _, stateless_bp = self._abstract(
-            facts, predicates,
-            self.make_options(validate_output=True, theory_incremental=False),
+            facts, predicates, C2bpOptions(validate_output=True),
+            backend=DpllTBackend(stateless_theory=True),
         )
         stateless_printed = print_bool_program(stateless_bp)
         if stateless_printed != printed:
             return report.fail(
                 KIND_THEORY,
-                "incremental and --no-theory-incremental boolean programs "
+                "incremental and stateless theory boolean programs "
                 "differ:\n" + _first_diff(printed, stateless_printed),
             )
 
@@ -215,10 +216,14 @@ class SoundnessOracle:
         # 5. Theorem-1 trace inclusion.
         return self._check_replay(case, program, predicates, tool, boolean_program, report)
 
-    def _abstract(self, facts, predicates, options, store=None):
+    def _abstract(
+        self, facts, predicates, options, store=None, strategy=None, backend=None
+    ):
         # The context is closed on exit, and with it any store it opened.
-        with EngineContext(options=options, store=store) as context:
+        with EngineContext(options=options, store=store, backend=backend) as context:
             tool = C2bp(facts.program, predicates, context=context, facts=facts)
+            if strategy is not None:
+                tool.search.strategy = strategy
             return tool, tool.run()
 
     def _check_cache(self, case, facts, predicates, printed, report):
@@ -234,9 +239,7 @@ class SoundnessOracle:
             # reuse level answers from memory, and the same program's
             # facts answer from their predicate-set memo.
             for label in ("cold", "warm", "repeat"):
-                options = self.make_options(
-                    validate_output=True, cache_dir=cache_dir
-                )
+                options = C2bpOptions(validate_output=True, cache_dir=cache_dir)
                 tool, cached_bp = self._abstract(
                     facts, predicates, options,
                     store if label == "repeat" else None,
@@ -283,7 +286,7 @@ class SoundnessOracle:
 
         _, off_bp = self._abstract(
             facts, predicates,
-            self.make_options(validate_output=True, use_analysis=False),
+            C2bpOptions(validate_output=True, use_analysis=False),
         )
         off_printed = print_bool_program(off_bp)
         # Identity mode: the subsystem enabled but every transforming
@@ -291,7 +294,7 @@ class SoundnessOracle:
         # (pins the memoized cone/touch rewrite as a pure optimization).
         _, identity_bp = self._abstract(
             facts, predicates,
-            self.make_options(
+            C2bpOptions(
                 validate_output=True,
                 live_predicates=False,
                 intervals=False,

@@ -47,7 +47,7 @@ from repro.prover import terms as T
 from repro.prover.cnf import CnfEncoder
 from repro.prover.sat import SatSolver
 from repro.prover.smt import Satisfiability, _minimize_core
-from repro.prover.theory import IncrementalTheory, check_literals
+from repro.prover.theory import check_literals
 
 #: The session counters that :class:`repro.prover.interface.ProverStats`
 #: accumulates under the same names: per-phase seconds plus the theory
@@ -77,28 +77,23 @@ class IncrementalCubeSession:
     hook for callers that throw the core away, like the non-incremental
     baseline's throwaway per-query sessions.
 
-    ``theory_incremental=True`` (the default) routes every theory
-    consistency check — model validation in :meth:`decide` and
-    :meth:`enumerate_models`, and each probe of the greedy core
-    minimizer — through one persistent
-    :class:`~repro.prover.theory.IncrementalTheory` session, so the
-    near-identical literal sets of an AllSAT sweep pay only for their
-    deltas.  The engine answers exactly like the stateless
-    ``check_literals`` (that equivalence is fuzz- and
-    hypothesis-tested), so verdicts, cores, and ``TheoryResult.exact``
-    licensing are unchanged; ``False`` restores the stateless calls."""
+    ``theory`` is the session's persistent
+    :class:`~repro.prover.theory.IncrementalTheory` (its backend builds
+    one per session): every theory consistency check — model validation
+    in :meth:`decide` and :meth:`enumerate_models`, and each probe of the
+    greedy core minimizer — goes through it, so the near-identical
+    literal sets of an AllSAT sweep pay only for their deltas.  The
+    engine answers exactly like the stateless ``check_literals`` (that
+    equivalence is fuzz- and hypothesis-tested), so verdicts, cores, and
+    ``TheoryResult.exact`` licensing are unchanged; ``None`` makes the
+    stateless calls (the reference backend)."""
 
     def __init__(
-        self,
-        candidates,
-        goal,
-        max_rounds=400,
-        want_cores=True,
-        theory_incremental=True,
+        self, candidates, goal, max_rounds=400, want_cores=True, theory=None
     ):
         self.max_rounds = max_rounds
         self.want_cores = want_cores
-        self._theory = IncrementalTheory() if theory_incremental else None
+        self._theory = theory
         # Counters mirrored into ProverStats by the session's owner.
         self.assumption_solves = 0
         self.lemmas_learned = 0
@@ -286,7 +281,7 @@ class IncrementalCubeSession:
 
     def _check_theory(self, literals):
         """Theory consistency through the session's incremental engine
-        (stateless ``check_literals`` when it is disabled); both answer
+        (stateless ``check_literals`` without one); both answer
         identically on every literal set."""
         if self._theory is not None:
             return self._theory.check(literals)

@@ -11,17 +11,23 @@ The front door is split from the decision procedure behind it:
   :class:`repro.prover.cache.QueryCache`, and optional event reporting;
 - a *backend* answers the actual satisfiability questions.  The built-in
   :class:`DpllTBackend` runs the from-scratch DPLL(T) stack in
-  :mod:`repro.prover.smt`; alternatives register themselves with
-  :mod:`repro.engine.backends`.
+  :mod:`repro.prover.smt`.  Any object with the same members can stand
+  in (``Prover(backend=...)``, ``EngineContext(backend=...)``):
+  ``check_implication(antecedents, consequent)`` and
+  ``check_satisfiable(exprs)`` answer with a :class:`Satisfiability`
+  (UNSAT means the implication is valid), ``name`` labels stats and
+  traces, and ``open_cube_session(candidates, goal, want_cores=True)``
+  opens the incremental cube session strengthening runs on.
 
 For the cube-heavy ``F_V``/``G_V`` strengthening loops the per-query path
 is wasteful: the goal is fixed and only the cube literals vary.
 :meth:`Prover.cube_session` opens a :class:`CubeProverSession` that keeps
 the canonical-form cache and all counters as the outer layer but answers
-cache misses through the backend's incremental assumption engine
-(:class:`repro.prover.incremental.IncrementalCubeSession`) when the
-backend provides one (the ``open_cube_session`` capability), falling back
-to fresh per-cube ``check_implication`` calls otherwise.
+cache misses from an AllSAT :class:`repro.prover.allsat.ModelCatalog` and
+the backend's incremental assumption engine
+(:class:`repro.prover.incremental.IncrementalCubeSession`).
+:class:`FreshCubeProverSession` is the fresh-query reference the fuzz
+oracle and the tests compare it against.
 """
 
 import time
@@ -29,9 +35,11 @@ import time
 from repro.cfront import cast as C
 from repro.cfront.exprutils import fold_constants
 from repro.prover import terms as T
+from repro.prover.allsat import ModelCatalog
 from repro.prover.cache import QueryCache
 from repro.prover.incremental import SESSION_COUNTER_NAMES, IncrementalCubeSession
 from repro.prover.smt import Satisfiability, check_formula
+from repro.prover.theory import IncrementalTheory
 
 
 class ProverStats:
@@ -115,15 +123,19 @@ class ProverStats:
 class DpllTBackend:
     """The built-in lazy DPLL(T) decision procedure.
 
-    Implements the :class:`repro.engine.backends.ProverBackend` protocol:
-    both check methods answer with a :class:`Satisfiability`, and
-    :meth:`open_cube_session` provides the incremental cube capability.
+    Both check methods answer with a :class:`Satisfiability`, and
+    :meth:`open_cube_session` opens the incremental cube sessions.
+    ``stateless_theory=True`` makes the reference backend the fuzz
+    oracle's ``theory-divergence`` check compares against: its sessions
+    decide every theory query from scratch with ``check_literals`` and
+    never build an :class:`IncrementalTheory`.
     """
 
     name = "dpllt"
 
-    def __init__(self, max_rounds=400):
+    def __init__(self, max_rounds=400, stateless_theory=False):
         self.max_rounds = max_rounds
+        self.stateless_theory = stateless_theory
 
     def check_implication(self, antecedents, consequent):
         """Satisfiability of ``/\\ antecedents && !consequent`` — UNSAT
@@ -143,22 +155,18 @@ class DpllTBackend:
         axioms = list(ctx.defs) + T.address_axioms(T.land(conjunction, *ctx.defs))
         return check_formula(conjunction, axioms, max_rounds=self.max_rounds)
 
-    def open_cube_session(
-        self, candidates, goal, want_cores=True, theory_incremental=True
-    ):
+    def open_cube_session(self, candidates, goal, want_cores=True):
         """An :class:`IncrementalCubeSession` deciding cubes over
         ``candidates`` against the fixed ``goal``.  ``want_cores=False``
         skips the assumption-core mapping and its validation — the right
         policy for throwaway per-query sessions whose caller discards the
-        core anyway.  ``theory_incremental=False`` pins the session to
-        the stateless theory checker (the ``--no-theory-incremental``
-        reference the fuzz oracle compares against)."""
+        core anyway."""
         return IncrementalCubeSession(
             candidates,
             goal,
             max_rounds=self.max_rounds,
             want_cores=want_cores,
-            theory_incremental=theory_incremental,
+            theory=None if self.stateless_theory else IncrementalTheory(),
         )
 
 
@@ -168,36 +176,21 @@ class CubeProverSession:
     The outer layer — canonical-form :class:`QueryCache`, stats counters,
     event reporting — is identical to :meth:`Prover.implies`, so cached
     answers are shared with plain implication queries across the whole
-    engine context.  Cache misses go to the backend's incremental
-    assumption engine when available (built lazily, so a fully cached
-    strengthening call never pays for an encoding).
+    engine context.  Cache misses are first tried against a
+    :class:`repro.prover.allsat.ModelCatalog`'s swept model projections,
+    which answers the SAT-side ("cube does not imply goal") queries
+    without a solver or theory call; the rest go to the backend's
+    incremental assumption engine, whose UNSAT answers carry an
+    assumption core.  Both are built lazily, so a fully cached
+    strengthening call never pays for an encoding."""
 
-    ``want_cores`` is the strategy layer's core policy: when False the
-    session never maps or validates assumption cores (callers that throw
-    them away should not pay for them).  ``catalog`` optionally attaches
-    a :class:`repro.prover.allsat.ModelCatalog`: cache misses are then
-    first tried against its swept model projections, which answers the
-    SAT-side ("cube does not imply goal") queries without a solver or
-    theory call; UNSAT-side verdicts always run the exact decide.
-    ``theory_incremental`` is forwarded to the backend session: whether
-    its theory checks run on a persistent delta-closure engine or the
-    stateless reference (``--no-theory-incremental``)."""
-
-    def __init__(
-        self, prover, candidates, goal, incremental=True, want_cores=True,
-        catalog=None, theory_incremental=True,
-    ):
+    def __init__(self, prover, candidates, goal):
         self.prover = prover
         self.candidates = tuple(candidates)
         self._negated = tuple(C.negate(expr) for expr in self.candidates)
         self.goal = goal
-        self._incremental = incremental
-        self._want_cores = want_cores
-        self._catalog = catalog
-        self._theory_incremental = theory_incremental
         self._session = None
-        self._synced = None
-        self._catalog_synced = None
+        self._catalog = None
         # Constant-folded cube literals and goal for the cache key, each
         # folded on first use (short sessions decide only a few cubes).
         self._folded = {}
@@ -246,56 +239,7 @@ class CubeProverSession:
                 prover._emit("implies", cached=True, result=value, seconds=0.0)
                 return value, None
         started = time.perf_counter()
-        core = None
-        opener = getattr(prover.backend, "open_cube_session", None)
-        if self._incremental and self._session is None and opener is not None:
-            self._session = opener(
-                self.candidates,
-                self.goal,
-                want_cores=self._want_cores,
-                theory_incremental=self._theory_incremental,
-            )
-            self._synced = self._session.counters()
-        if self._session is not None:
-            outcome = None
-            if self._catalog is not None:
-                self._catalog.ensure_swept(self._session)
-                if self._catalog.covers(cube):
-                    # A swept model satisfies every literal of the cube:
-                    # E(cube) ∧ ¬goal has a theory-consistent model, so
-                    # the implication does not hold — no decide needed.
-                    outcome = Satisfiability.SAT
-            if outcome is None:
-                if self._session.decides > 0:
-                    # The fresh reference would have re-encoded the whole query.
-                    stats.cnf_encodings_saved += 1
-                outcome, raw_core = self._session.decide(cube)
-                if raw_core is not None and len(raw_core) < len(cube):
-                    core = raw_core
-                    stats.core_shrinks += 1
-            self._sync_session_counters()
-        elif opener is not None:
-            # The fresh reference: a throwaway session per query.  Same
-            # clause universe and theory-relevance rules as the
-            # incremental engine — so the two modes compute the same
-            # answer for every cube — but every query pays the full
-            # re-encoding and lemma rediscovery.  No caller keeps these
-            # cores, so the session skips the core mapping and its
-            # validation.
-            throwaway = opener(
-                self.candidates,
-                self.goal,
-                want_cores=False,
-                theory_incremental=self._theory_incremental,
-            )
-            outcome, _ = throwaway.decide(cube)
-            counters = throwaway.counters()
-            for name in SESSION_COUNTER_NAMES:
-                setattr(stats, name, getattr(stats, name) + counters.get(name, 0))
-        else:
-            outcome = prover.backend.check_implication(
-                self.cube_exprs(cube), self.goal
-            )
+        outcome, core = self._decide_miss(cube)
         elapsed = time.perf_counter() - started
         stats.calls += 1
         result = outcome is Satisfiability.UNSAT
@@ -309,6 +253,34 @@ class CubeProverSession:
             prover.cache.store(key, result)
         prover._emit("implies", cached=False, result=result, seconds=elapsed)
         return result, core
+
+    def _decide_miss(self, cube):
+        """``(outcome, core)`` for a cube the query cache did not answer."""
+        if self._session is None:
+            self._session = self.prover.backend.open_cube_session(
+                self.candidates, self.goal
+            )
+            self._synced = self._session.counters()
+            self._catalog = ModelCatalog()
+            self._catalog_synced = self._catalog.counters()
+        self._catalog.ensure_swept(self._session)
+        outcome = core = None
+        if self._catalog.covers(cube):
+            # A swept model satisfies every literal of the cube:
+            # E(cube) ∧ ¬goal has a theory-consistent model, so the
+            # implication does not hold — no decide needed.
+            outcome = Satisfiability.SAT
+        else:
+            stats = self.prover.stats
+            if self._session.decides > 0:
+                # The fresh reference would have re-encoded the whole query.
+                stats.cnf_encodings_saved += 1
+            outcome, raw_core = self._session.decide(cube)
+            if raw_core is not None and len(raw_core) < len(cube):
+                core = raw_core
+                stats.core_shrinks += 1
+        self._sync_session_counters()
+        return outcome, core
 
     def _sync_session_counters(self):
         current = self._session.counters()
@@ -331,14 +303,37 @@ class CubeProverSession:
                 - self._synced.get(name, 0),
             )
         self._synced = current
-        if self._catalog is not None:
-            current_catalog = self._catalog.counters()
-            synced = self._catalog_synced or {
-                name: 0 for name in current_catalog
-            }
-            for name, value in current_catalog.items():
-                setattr(stats, name, getattr(stats, name) + value - synced[name])
-            self._catalog_synced = current_catalog
+        current_catalog = self._catalog.counters()
+        for name, value in current_catalog.items():
+            setattr(
+                stats, name, getattr(stats, name) + value - self._catalog_synced[name]
+            )
+        self._catalog_synced = current_catalog
+
+
+class FreshCubeProverSession(CubeProverSession):
+    """The fresh-query reference behind
+    :class:`repro.core.cubes.CubeEnumerationStrategy`.
+
+    The outer layer (cache, counters, events) is the production
+    session's, so both count calls alike.  Every cache miss is decided
+    on a throwaway backend session that decides that one cube and is
+    dropped: the same clause universe and theory-relevance rules as the
+    incremental engine — so the two compute the same answer for every
+    cube — but nothing carries from one cube to the next.  No model
+    catalog is consulted and no assumption core is read (the throwaway
+    session skips the core mapping)."""
+
+    def _decide_miss(self, cube):
+        throwaway = self.prover.backend.open_cube_session(
+            self.candidates, self.goal, want_cores=False
+        )
+        outcome, _ = throwaway.decide(cube)
+        stats = self.prover.stats
+        counters = throwaway.counters()
+        for name in SESSION_COUNTER_NAMES:
+            setattr(stats, name, getattr(stats, name) + counters[name])
+        return outcome, None
 
 
 class Prover:
@@ -393,26 +388,11 @@ class Prover:
         self._emit("implies", cached=False, result=result, seconds=elapsed)
         return result
 
-    def cube_session(
-        self, candidates, goal, incremental=True, want_cores=True, catalog=None,
-        theory_incremental=True,
-    ):
+    def cube_session(self, candidates, goal):
         """Open a :class:`CubeProverSession` for one strengthening call:
         repeated cube implication tests over ``candidates`` against the
-        fixed ``goal``.  With ``incremental=False`` (or a backend without
-        the ``open_cube_session`` capability) every cache miss runs a
-        fresh query — the ``cubes`` strategy's reference behaviour.  ``want_cores``/``catalog``/
-        ``theory_incremental`` are the strategy layer's policy hooks (see
-        :class:`CubeProverSession`)."""
-        return CubeProverSession(
-            self,
-            candidates,
-            goal,
-            incremental=incremental,
-            want_cores=want_cores,
-            catalog=catalog,
-            theory_incremental=theory_incremental,
-        )
+        fixed ``goal``."""
+        return CubeProverSession(self, candidates, goal)
 
     def is_valid(self, expr):
         return self.implies((), expr)

@@ -2,9 +2,9 @@
 
 Three layers:
 
-- **warm vs cold** — the same abstraction run against a ``--cache-dir``
-  twice must print identical boolean programs, and the warm run must be
-  answered from the store (no fresh prover calls);
+- **the CLI store wiring** — ``--cache-dir`` with ``--stats-json`` writes
+  the store's counters (cold/warm byte identity and warm hits are
+  ``tests/test_serve_store.py``'s);
 - **the daemon** — ``repro serve`` round trip over a unix socket:
   batched requests, control ops, ``--remote`` output identical to a
   local run, clean shutdown with no orphan socket or process;
@@ -44,15 +44,6 @@ def _run_cli(argv):
     return code, out.getvalue()
 
 
-def _bp_body(output):
-    """CLI ``abstract`` output without the stats trailer comment (the
-    prover-call count and wall-clock seconds legitimately differ between
-    cold and warm runs; the program text must not)."""
-    return "\n".join(
-        line for line in output.splitlines() if not line.startswith("// ")
-    )
-
-
 @pytest.fixture
 def study_files(tmp_path):
     study = get_program("partition")
@@ -63,44 +54,7 @@ def study_files(tmp_path):
     return study, str(c_file), str(pred_file)
 
 
-# -- warm vs cold ----------------------------------------------------------
-
-
-def test_warm_vs_cold_smoke(study_files, tmp_path):
-    _, c_file, pred_file = study_files
-    cache_dir = str(tmp_path / "cache")
-    outputs = []
-    snapshots = []
-    for run in ("cold", "warm"):
-        stats_file = str(tmp_path / ("stats-%s.json" % run))
-        code, output = _run_cli(
-            ["abstract", c_file, pred_file, "--cache-dir", cache_dir,
-             "--stats-json", stats_file]
-        )
-        assert code == 0
-        outputs.append(output)
-        snapshots.append(json.load(open(stats_file)))
-    assert _bp_body(outputs[0]) == _bp_body(outputs[1])
-    cold, warm = snapshots
-    assert cold["persistent_cache"]["writes"] > 0
-    warm_store = warm["persistent_cache"]
-    total = warm_store["hits"] + warm_store["misses"]
-    assert warm_store["hits"] / total >= 0.95, warm_store
-    assert warm["prover"]["calls"] == 0, "warm run must not call the prover"
-
-
-def test_no_persistent_cache_flag_disables_store(study_files, tmp_path):
-    _, c_file, pred_file = study_files
-    cache_dir = str(tmp_path / "cache")
-    stats_file = str(tmp_path / "stats.json")
-    code, _ = _run_cli(
-        ["abstract", c_file, pred_file, "--cache-dir", cache_dir,
-         "--no-persistent-cache", "--stats-json", stats_file]
-    )
-    assert code == 0
-    stats = json.load(open(stats_file))
-    assert "persistent_cache" not in stats
-    assert not os.path.exists(cache_dir)
+# -- the CLI store wiring --------------------------------------------------
 
 
 def test_stats_json_schema(study_files, tmp_path):
@@ -117,6 +71,7 @@ def test_stats_json_schema(study_files, tmp_path):
     for field in ("hits", "misses", "writes", "evictions",
                   "cache_corrupt_records", "namespaces", "root"):
         assert field in store, field
+    assert store["writes"] > 0
 
 
 # -- the daemon ------------------------------------------------------------
@@ -703,3 +658,38 @@ def test_smoke_bebop_answer_memo_round_trip(tmp_path, monkeypatch):
     for text, reply in zip(sources + sources[:3], replies + flushed):
         assert _without_counts(reply) == _without_counts(_storeless_slam(text))
     assert replies[0] == _storeless_slam(source)
+
+
+# -- option compatibility ----------------------------------------------------
+
+
+def test_removed_option_fields_are_ignored():
+    """Older clients still send the removed engine selectors; the daemon
+    drops option keys it does not know, so a ``check`` and a ``slam``
+    request carrying them get the replies of the same requests without
+    them."""
+    from repro.serve.server import ReproServer
+
+    removed = {
+        "strengthen": "cubes",
+        "theory_incremental": False,
+        "persistent_cache": False,
+    }
+    requests = [
+        _check_request(get_program("partition")),
+        _slam_request(get_driver("floppy").source),
+    ]
+    replies = []
+    for options in (None, removed):
+        server = ReproServer()
+        try:
+            replies.append(
+                [server._run_job(dict(request, options=options))
+                 for request in requests]
+            )
+        finally:
+            server._executor.shutdown()
+    for plain, old_client in zip(*replies):
+        assert plain["ok"] and old_client["ok"], (plain, old_client)
+        assert old_client["output"] == plain["output"]
+        assert old_client["exit_code"] == plain["exit_code"]

@@ -276,7 +276,7 @@ def test_store_keys_are_namespaced_and_versioned():
 def test_options_fingerprint_tracks_semantic_fields_only():
     base = C2bpOptions()
     assert options_fingerprint(base) == options_fingerprint(
-        base.copy(strengthen="cubes", cache_dir="/elsewhere")
+        base.copy(validate_output=True, cache_dir="/elsewhere")
     )
     for field in SEMANTIC_OPTION_FIELDS:
         current = getattr(base, field)

@@ -6,15 +6,13 @@ Four groups of guarantees:
   the cube sets the fresh-query :class:`CubeEnumerationStrategy`
   reference does, on randomized instances (hypothesis) and on real
   corpus programs, and the printed boolean programs are byte-identical;
-- **Core policy** — sessions opened with ``want_cores=False`` (the
-  reference's throwaway path) skip unsat-core mapping entirely;
+- **Core policy** — backend sessions opened with ``want_cores=False``
+  (the reference's throwaway path) skip unsat-core mapping entirely;
 - **Prover statistics** — a real abstraction run reports its prover
   work: queries, time attribution, session solves and catalog answers;
 - **Oracle coverage** — an injected catalog bug and an injected session
   core bug are caught by the fuzz oracle as ``strengthen-divergence``.
 """
-
-import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +21,12 @@ from repro import C2bp, parse_c_program, parse_predicate_file
 from repro.boolprog.printer import print_bool_program
 from repro.cfront import parse_expression
 from repro.core import C2bpOptions
-from repro.core.cubes import (
-    AllSatStrategy,
-    CubeEnumerationStrategy,
-    CubeSearch,
-    make_strategy,
-)
+from repro.core.cubes import AllSatStrategy, CubeEnumerationStrategy, CubeSearch
 from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_STRENGTHEN, SoundnessOracle
 from repro.programs import get_program
-from repro.prover import Prover
+from repro.prover import DpllTBackend, Prover, Satisfiability
 from repro.prover import allsat as allsat_module
 from repro.prover.incremental import IncrementalCubeSession
 
@@ -44,25 +37,14 @@ class _Cand:
         self.name = text.replace(" ", "")
 
 
-def _search(strengthen, **overrides):
-    options = C2bpOptions(
-        syntactic_heuristics=False, strengthen=strengthen, **overrides
-    )
-    return CubeSearch(Prover(), options)
+def _search(strengthen):
+    search = CubeSearch(Prover(), C2bpOptions(syntactic_heuristics=False))
+    if strengthen == "cubes":
+        search.strategy = CubeEnumerationStrategy()
+    return search
 
 
 # -- strategy selection --------------------------------------------------------------
-
-
-def test_make_strategy_resolution():
-    assert isinstance(make_strategy(None), AllSatStrategy)
-    assert isinstance(make_strategy("allsat"), AllSatStrategy)
-    strategy = make_strategy("cubes")
-    assert isinstance(strategy, CubeEnumerationStrategy)
-    assert not isinstance(strategy, AllSatStrategy)
-    assert make_strategy(strategy) is strategy
-    with pytest.raises(ValueError):
-        make_strategy("nope")
 
 
 def test_default_options_select_allsat():
@@ -116,36 +98,31 @@ def test_allsat_matches_cubes_inconsistent(instance):
 
 @pytest.mark.parametrize("name", ["partition", "listfind"])
 def test_allsat_bool_program_byte_identical(name):
+    """The default prints the fresh-query reference's bytes; the default
+    really runs on sessions, and the reference never does."""
     study = get_program(name)
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    texts = {
-        label: print_bool_program(
-            C2bp(
-                program,
-                predicates,
-                options=C2bpOptions(strengthen=label),
-            ).run()
-        )
-        for label in ("allsat", "cubes")
-    }
-    assert texts["allsat"] == texts["cubes"]
+    allsat = C2bp(program, predicates)
+    cubes = C2bp(program, predicates)
+    cubes.search.strategy = CubeEnumerationStrategy()
+    assert print_bool_program(allsat.run()) == print_bool_program(cubes.run())
+    assert allsat.prover.stats.assumption_solves > 0
+    assert cubes.prover.stats.assumption_solves == 0
 
 
 # -- the want_cores policy ------------------------------------------------------------
 
 
 def test_want_cores_false_skips_core_mapping():
-    prover = Prover()
-    session = prover.cube_session(
+    session = DpllTBackend().open_cube_session(
         [parse_expression("x < 5"), parse_expression("x == 2")],
         parse_expression("x < 10"),
         want_cores=False,
     )
-    result, core = session.implies_cube(((0, True), (1, True)))
-    assert result is True
+    outcome, core = session.decide(((0, True), (1, True)))
+    assert outcome is Satisfiability.UNSAT
     assert core is None
-    assert prover.stats.core_shrinks == 0
 
 
 def test_want_cores_default_still_shrinks():
@@ -223,33 +200,3 @@ def test_oracle_catches_injected_session_core_bug(monkeypatch):
         if report.kind == KIND_STRENGTHEN:
             return
     raise AssertionError("no generated case exposed the injected core bug")
-
-
-# -- CLI flag -------------------------------------------------------------------------
-
-
-def test_cli_strengthen_flag(tmp_path):
-    from repro.cli import main
-
-    study = get_program("partition")
-    c_path = tmp_path / "p.c"
-    p_path = tmp_path / "p.preds"
-    c_path.write_text(study.source)
-    p_path.write_text(study.predicate_text)
-    outputs = {}
-    for flag in ("allsat", "cubes"):
-        out = io.StringIO()
-        code = main(
-            [
-                "abstract",
-                str(c_path),
-                str(p_path),
-                "--strengthen",
-                flag,
-            ],
-            out=out,
-        )
-        assert code == 0
-        # Strip the trailing stats comment (timings differ run to run).
-        outputs[flag] = out.getvalue().rsplit("//", 1)[0]
-    assert outputs["allsat"] == outputs["cubes"]

@@ -13,16 +13,16 @@
 - **DBM units** — incremental closure equals from-scratch closure,
   push/pop restores every bound, negative cycles flip the flag.
 - **Wiring** — end-to-end byte-identity of the abstraction with the
-  engine on vs ``--no-theory-incremental`` (flag + counters), the
-  discharger's distinct stats key, and an injected-engine-bug meta-test
+  engine on vs the stateless reference backend
+  (``DpllTBackend(stateless_theory=True)``) plus the engine's counters,
+  the discharger's distinct stats key, and an injected-engine-bug meta-test
   proving the fuzz oracle's ``theory-divergence`` check catches a
   corrupted fast path.
 """
 
-import io
-import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import C2bp, parse_c_program, parse_predicate_file
@@ -34,7 +34,7 @@ from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_THEORY, SoundnessOracle
 from repro.programs import get_program
-from repro.prover import Prover
+from repro.prover import DpllTBackend, Prover
 from repro.prover import theory as theory_module
 from repro.prover.dbm import ZERO, DifferenceBounds
 from repro.prover.linarith import LinearSolver, linearize
@@ -328,21 +328,28 @@ def test_dbm_entailed_eq():
 # -- end-to-end wiring ----------------------------------------------------------------
 
 
-def _abstract(study, **option_kwargs):
+def _abstract(study, backend=None):
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    with EngineContext(options=C2bpOptions(**option_kwargs)) as context:
+    with EngineContext(backend=backend) as context:
         tool = C2bp(program, predicates, context=context)
         text = print_bool_program(tool.run())
         return text, context.prover.stats
 
 
-def test_abstraction_byte_identical_and_counters_engage():
-    study = get_program("partition")
-    on_text, on_stats = _abstract(study, theory_incremental=True)
-    off_text, off_stats = _abstract(study, theory_incremental=False)
+@pytest.mark.parametrize("name", ["partition", "listfind"])
+def test_abstraction_byte_identical_and_counters_engage(name):
+    """The stateless reference prints the same bytes; only the default
+    takes the difference-bound fast path, and its AllSAT sweeps route
+    their model checks through the session engine."""
+    study = get_program(name)
+    on_text, on_stats = _abstract(study)
+    off_text, off_stats = _abstract(
+        study, DpllTBackend(stateless_theory=True)
+    )
     assert on_text == off_text
     assert on_stats.theory_delta_queries > 0
+    assert on_stats.allsat_sweep_theory_deltas > 0
     assert off_stats.theory_delta_queries == 0
     assert off_stats.time_in_theory_closure == 0.0
     snapshot = on_stats.snapshot()
@@ -355,25 +362,6 @@ def test_abstraction_byte_identical_and_counters_engage():
         "time_in_theory_cache",
     ):
         assert key in snapshot
-
-
-def test_cli_no_theory_incremental_flag(tmp_path):
-    from repro.cli import main
-
-    study = get_program("partition")
-    c_path = tmp_path / "p.c"
-    p_path = tmp_path / "p.preds"
-    c_path.write_text(study.source)
-    p_path.write_text(study.predicate_text)
-    outputs = {}
-    for flags in ((), ("--no-theory-incremental",)):
-        out = io.StringIO()
-        code = main(
-            ["abstract", str(c_path), str(p_path), *flags], out=out
-        )
-        assert code == 0
-        outputs[flags] = out.getvalue().rsplit("//", 1)[0]
-    assert outputs[()] == outputs[("--no-theory-incremental",)]
 
 
 class _AlwaysDischarger:
