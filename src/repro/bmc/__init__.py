@@ -6,13 +6,11 @@ with the C2bp → Bebop → Newton pipeline it cross-checks: it unrolls the
 two's-complement arithmetic onto :class:`repro.prover.sat.SatSolver`, and
 reports ``unsafe`` (with a concrete, interpreter-validated input trace),
 ``safe`` (complete within the bound), ``safe-up-to-k``, or
-``unsupported``.  It also confirms/refutes Newton's feasible
-counterexample paths (:mod:`repro.bmc.confirm`) and backstops CEGAR
-divergence with a bounded verdict.
+``unsupported``.  It also backstops CEGAR divergence with a bounded
+verdict.
 """
 
 from repro.bmc.bits import BitEncoder
-from repro.bmc.confirm import ConfirmOutcome, confirm_path
 from repro.bmc.driver import (
     BmcResult,
     BmcStats,
@@ -32,14 +30,12 @@ __all__ = [
     "BmcResult",
     "BmcStats",
     "BmcUnsupported",
-    "ConfirmOutcome",
     "Unroller",
     "VERDICT_SAFE",
     "VERDICT_SAFE_UP_TO_K",
     "VERDICT_UNSAFE",
     "VERDICT_UNSUPPORTED",
     "Witness",
-    "confirm_path",
     "ensure_bmc_stats",
     "replay_witness",
     "run_bmc",

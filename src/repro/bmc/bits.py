@@ -174,12 +174,6 @@ class BitEncoder:
     def is_const(self, vec):
         return all(isinstance(bit, bool) for bit in vec)
 
-    def const_value(self, vec):
-        """Decode an all-constant vector to a signed Python int."""
-        raw = sum(1 << i for i, bit in enumerate(vec) if bit)
-        half = 1 << (self.width - 1)
-        return raw - (1 << self.width) if raw >= half else raw
-
     def decode(self, vec, model):
         """Decode a vector under a SAT model (unassigned vars read False)."""
         raw = 0

@@ -273,9 +273,6 @@ class BmcStats:
         self.safe = 0
         self.bounded = 0
         self.unsupported = 0
-        self.confirms = 0
-        self.confirmed = 0
-        self.refuted = 0
         self.encode_seconds = 0.0
         self.solve_seconds = 0.0
         self.gates = 0
@@ -303,9 +300,6 @@ class BmcStats:
             "safe": self.safe,
             "bounded": self.bounded,
             "unsupported": self.unsupported,
-            "confirms": self.confirms,
-            "confirmed": self.confirmed,
-            "refuted": self.refuted,
             "encode_seconds": self.encode_seconds,
             "solve_seconds": self.solve_seconds,
             "gates": self.gates,

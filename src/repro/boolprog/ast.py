@@ -398,9 +398,6 @@ class BProcedure:
         self.body = list(body)
         self.enforce = enforce  # BExpr invariant or None (Section 5.1)
 
-    def variables_in_scope(self, global_names):
-        return list(global_names) + self.formals + self.locals
-
     def __repr__(self):
         return "BProcedure(%r)" % self.name
 

@@ -83,9 +83,6 @@ class ControlFlowGraph:
     def statement_nodes(self):
         return [node for node in self.nodes if node.kind == STMT]
 
-    def branch_nodes(self):
-        return [node for node in self.nodes if node.kind == BRANCH]
-
     def reachable_nodes(self):
         """Nodes reachable from entry, in discovery (DFS preorder) order."""
         seen = set()

@@ -168,9 +168,6 @@ class StructType(CType):
             raise TypeError_("struct %s has no field %r" % (self.tag, name))
         return self._field_map[name]
 
-    def has_field(self, name):
-        return self.is_complete and name in self._field_map
-
     def is_struct(self):
         return True
 
@@ -264,10 +261,6 @@ LONG = IntType("long")
 BOOL = IntType("bool")
 VOID = VoidType()
 VOID_PTR = PointerType(VOID)
-
-
-def pointer_to(ctype):
-    return PointerType(ctype)
 
 
 def decay(ctype):

@@ -132,30 +132,20 @@ def _add_option_flags(parser):
         help="LRU byte cap for the persistent cache (default: uncapped)",
     )
     parser.add_argument(
-        "--bmc-confirm",
-        action="store_true",
-        help="bit-precisely confirm Newton's feasible counterexample paths "
-        "(concrete witness on SAT, flagged disagreement on UNSAT)",
-    )
-    parser.add_argument(
-        "--no-bmc-fallback",
-        action="store_true",
-        help="return a bare 'unknown' when CEGAR diverges instead of "
-        "falling back to a bounded BMC verdict",
-    )
-    parser.add_argument(
         "--bmc-depth",
         type=int,
         default=16,
         metavar="K",
-        help="unwinding depth for pipeline-internal BMC runs (default 16)",
+        help="unwinding depth of the BMC run a stalled CEGAR loop falls "
+        "back to (default 16)",
     )
     parser.add_argument(
         "--bmc-width",
         type=int,
         default=16,
         metavar="W",
-        help="bit width for pipeline-internal BMC runs (default 16)",
+        help="bit width of the BMC run a stalled CEGAR loop falls back to "
+        "(default 16)",
     )
 
 
@@ -178,8 +168,6 @@ def _options_from(args):
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
         validate_output=args.validate_bp,
-        bmc_confirm=args.bmc_confirm,
-        bmc_fallback=not args.no_bmc_fallback,
         bmc_depth=args.bmc_depth,
         bmc_width=args.bmc_width,
     )
@@ -239,7 +227,7 @@ def run_abstract(context, source, predicates_text, out, name="<input>"):
 
 def run_check(
     context, source, predicates_text, out, name="<input>", entry="main",
-    labels=(), bp_dce=True,
+    labels=(),
 ):
     program, facts = _program(context, source, name)
     predicates = parse_predicate_file(predicates_text, program)
@@ -247,7 +235,7 @@ def run_check(
     boolean_program = tool.run()
     # Labeled invariant queries observe every predicate, so DCE only
     # applies to plain reachability checks.
-    if tool.analysis is not None and bp_dce and not labels:
+    if tool.analysis is not None and context.options.bp_dce and not labels:
         from repro.analysis import eliminate_dead_variables
 
         boolean_program, _ = eliminate_dead_variables(
@@ -425,7 +413,6 @@ def _check(args, out):
                 "name": args.program,
                 "entry": args.entry,
                 "labels": args.label or [],
-                "bp_dce": not args.no_bp_dce,
             },
             out,
         )
@@ -433,7 +420,6 @@ def _check(args, out):
         code = run_check(
             context, _read(args.program), _read(args.predicates), out,
             name=args.program, entry=args.entry, labels=args.label or (),
-            bp_dce=not args.no_bp_dce,
         )
         _write_instrumentation(args, context)
     return code

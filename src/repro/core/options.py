@@ -16,10 +16,17 @@ import dataclasses
 #: The :class:`C2bpOptions` fields a statement's translation (and its
 #: enforce invariant, and the analyses behind both) can read: the fields
 #: that key every cache of translation inputs and outputs.  Deliberately
-#: excludes the answer-invisible knobs — ``cache_prover``, ``jobs``,
-#: ``bp_dce`` (a post-pass), ``validate_output``, and the cache wiring
-#: itself — so configurations that provably print the same bytes share
-#: entries.
+#: excludes the knobs no translation reads, so configurations that
+#: provably print the same bytes share entries.  Each has a named user:
+#: ``cache_prover`` the paper's optimization-five ablation
+#: (``benchmarks/test_bench_ablation.py``); ``jobs`` the ``perfbench``
+#: workloads, which pin ``jobs=1``; ``bp_dce`` (a post-pass) the
+#: analysis benchmark's ``--no-bp-dce`` configuration and the fuzz
+#: oracle's identity mode; ``validate_output`` the fuzz oracle and the
+#: corpus-repro workflow in ``docs/TESTING.md``; ``cache_dir`` and
+#: ``cache_max_bytes`` the ``--cache-dir`` store and ``repro serve``;
+#: ``bmc_depth`` and ``bmc_width`` the CEGAR stall fallback, whose
+#: bounds stay named flags.
 SEMANTIC_OPTION_FIELDS = (
     "max_cube_length",
     "cone_of_influence",
@@ -55,7 +62,8 @@ class C2bpOptions:
     #: predicate in E, without prover calls (optimization four).
     syntactic_heuristics: bool = True
 
-    #: Cache theorem prover and alias queries (optimization five).
+    #: Cache theorem prover and alias queries (optimization five).  Its
+    #: user is the paper's ablation (``benchmarks/test_bench_ablation.py``).
     cache_prover: bool = True
 
     #: Recursively distribute F over && and || (precision-losing through
@@ -81,9 +89,10 @@ class C2bpOptions:
     #: and is "undefined ... and thus invalidated" (Section 2.1).
     invalidate_constant_derefs: bool = True
 
-    #: Kept only so existing callers that pin ``jobs=1`` keep working:
-    #: statement abstraction always runs serially in-process, and any
-    #: other value raises :class:`ValueError`.
+    #: Kept only so existing callers that pin ``jobs=1`` (the
+    #: ``perfbench`` workloads) keep working: statement abstraction
+    #: always runs serially in-process, and any other value raises
+    #: :class:`ValueError`.
     jobs: int = 1
 
     #: Master switch for the static-analysis subsystem
@@ -108,7 +117,8 @@ class C2bpOptions:
     #: Boolean-program dead-variable elimination before model checking
     #: (never-read variables and their assignments are removed; verdicts
     #: and label invariants over surviving variables are unchanged).
-    #: Requires ``use_analysis``.
+    #: Requires ``use_analysis``.  Its users are ``--no-bp-dce``, the
+    #: analysis benchmark and the fuzz oracle's identity mode.
     bp_dce: bool = True
 
     #: Root directory of the content-addressed persistent cache
@@ -127,29 +137,20 @@ class C2bpOptions:
     #: translated program before returning it (``--validate-bp``), so a
     #: malformed ``BP(P, E)`` fails at generation time instead of
     #: surfacing as a downstream Bebop error.  The fuzz oracle always
-    #: enables this.
+    #: enables this, and the corpus-repro workflow in ``docs/TESTING.md``
+    #: passes ``--validate-bp``.
     validate_output: bool = False
 
-    #: Bit-precisely confirm Newton's feasible counterexample paths
-    #: (:mod:`repro.bmc.confirm`): extract a concrete input witness when
-    #: the straight-line path is SAT at ``bmc_width`` bits, and flag the
-    #: disagreement (``bmc_refuted``) when it is UNSAT.  Off by default —
-    #: feasibility verdicts themselves never change.
-    bmc_confirm: bool = False
-
-    #: When CEGAR stalls (no new predicates, interval fallback exhausted),
-    #: run the bounded model checker instead of giving a bare "unknown":
-    #: a replay-validated counterexample upgrades the verdict to
-    #: ``unsafe``; otherwise the result records a ``safe-up-to-k``
-    #: bounded verdict (``--no-bmc-fallback`` restores the bare unknown).
-    bmc_fallback: bool = True
-
-    #: Unwinding depth for BMC runs launched from inside the pipeline
-    #: (confirm and CEGAR fallback): the bound on back-edge traversals
-    #: and recursive re-entries per function instance.
+    #: Unwinding depth of the bounded model checker that CEGAR runs when
+    #: it stalls (no new predicates, interval fallback exhausted): the
+    #: bound on back-edge traversals and recursive re-entries per
+    #: function instance (``--bmc-depth``).  A replay-validated
+    #: counterexample upgrades the stalled verdict to ``unsafe``;
+    #: otherwise the result records the bounded verdict.
     bmc_depth: int = 16
 
-    #: Bit width of the two's-complement integers in those BMC runs.
+    #: Bit width of the two's-complement integers in that BMC run
+    #: (``--bmc-width``).
     bmc_width: int = 16
 
     def __post_init__(self):

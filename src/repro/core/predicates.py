@@ -22,7 +22,6 @@ line; the following lines list comma-separated predicates until the next
 section header or end of file.
 """
 
-from repro.cfront import cast as C
 from repro.cfront import parse_expression
 from repro.cfront.errors import CFrontError
 from repro.cfront.exprutils import is_pure_predicate, variables
@@ -134,12 +133,6 @@ class PredicateSet:
             name: list(bucket) for name, bucket in self.by_procedure.items()
         }
         return snapshot
-
-    def merged_with(self, other):
-        merged = PredicateSet(self.all_predicates())
-        for predicate in other.all_predicates():
-            merged.add(predicate)
-        return merged
 
     def __repr__(self):
         return "PredicateSet(%d predicates)" % len(self)
@@ -253,8 +246,3 @@ def predicates_for(program, scope, exprs):
         _validate_against_program(predicate, program)
         result.append(predicate)
     return result
-
-
-def negate_predicate_expr(expr):
-    """The C expression for the negation of a predicate."""
-    return C.negate(expr)

@@ -370,20 +370,3 @@ def _is_branch(stmt):
     from repro.cfront import cast as C
 
     return isinstance(stmt, (C.If, C.While))
-
-
-def replay_random_traces(tool, boolean_program, entry="main", seeds=(0,), make_args=None):
-    """Replay several concrete runs (varying the extern oracle by seed);
-    returns the list of reports."""
-    import random
-
-    reports = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        oracle = lambda name, args: rng.randint(-4, 4)  # noqa: E731
-        args = make_args(seed) if make_args is not None else []
-        replayer = TraceReplayer(
-            tool, boolean_program, entry=entry, args=args, extern_oracle=oracle
-        )
-        reports.append(replayer.run())
-    return reports

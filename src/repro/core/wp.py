@@ -18,7 +18,7 @@ substitution.
 import itertools
 
 from repro.cfront import cast as C
-from repro.cfront.exprutils import fold_constants, locations, substitute, walk
+from repro.cfront.exprutils import fold_constants, locations, substitute
 
 
 class WpError(Exception):
@@ -47,10 +47,6 @@ def address_expr(lvalue):
     if isinstance(lvalue, C.Cast):
         return address_expr(lvalue.operand)
     return C.AddrOf(lvalue)
-
-
-def _mentions(expr, target):
-    return any(node == target for node in walk(expr))
 
 
 def _scenario_substitution(phi, aliased):
@@ -106,14 +102,3 @@ def wp_unchanged(lhs, rhs, phi, may_alias=None):
         if may_alias is None or may_alias(lhs, loc):
             return False
     return True
-
-
-def wp_for_statement(stmt, phi, may_alias=None):
-    """WP of a non-call intermediate-form statement."""
-    if isinstance(stmt, C.Assign):
-        return weakest_precondition(stmt.lhs, stmt.rhs, phi, may_alias)
-    if isinstance(stmt, (C.Skip, C.Goto)):
-        return phi
-    raise WpError(
-        "weakest precondition undefined for %r statements" % type(stmt).__name__
-    )

@@ -53,9 +53,6 @@ class EventBus:
         self._subscribers.append(handler)
         return handler
 
-    def unsubscribe(self, handler):
-        self._subscribers.remove(handler)
-
     def emit(self, kind, **data):
         """Emit one event; returns the event dict."""
         event = {"kind": kind, "t": round(time.perf_counter() - self._start, 6)}

@@ -100,9 +100,6 @@ class StatsRegistry:
         ``snapshot()``, a zero-arg callable returning a dict, or a dict."""
         self._sections[name] = source
 
-    def unregister(self, name):
-        self._sections.pop(name, None)
-
     def section(self, name):
         return self._sections.get(name)
 

@@ -27,13 +27,6 @@ class NewtonResult:
         self.feasible = feasible
         self.new_predicates = list(new_predicates)
         self.core = list(core)
-        # Filled by the optional bmc-confirm step (``--bmc-confirm``):
-        # ``witness`` is a replay-validated concrete input trace,
-        # ``bmc_refuted`` flags a bit-level disagreement with the logical
-        # feasibility verdict (the verdict itself stands either way).
-        self.witness = None
-        self.bmc_checked = False
-        self.bmc_refuted = False
 
     def __repr__(self):
         if self.feasible:
@@ -58,48 +51,12 @@ def analyze_path(program, steps, prover=None, existing_predicates=None, context=
         verdict = prover.is_satisfiable(formulas)
         if verdict is not Satisfiability.UNSAT:
             # SAT or UNKNOWN: treat as feasible (never refute a real error).
-            result = NewtonResult(True)
-            if context is not None and getattr(
-                context.options, "bmc_confirm", False
-            ):
-                _bmc_confirm(program, steps, result, context)
-            return result
+            return NewtonResult(True)
         core = _minimize_core(prover, constraints)
         predicates = _predicates_from_core(
             program, simulator, core, existing_predicates
         )
         return NewtonResult(False, predicates, core)
-
-
-def _bmc_confirm(program, steps, result, context):
-    """Replay a feasible path through the bit-precise encoder: attach a
-    concrete witness when one validates, flag the disagreement when the
-    path is UNSAT at the bounded width.  Never changes ``feasible``."""
-    from repro.bmc import BmcUnsupported, confirm_path, ensure_bmc_stats
-
-    stats = ensure_bmc_stats(context)
-    try:
-        with context.phase("bmc-confirm"):
-            outcome = confirm_path(
-                program, steps, width=getattr(context.options, "bmc_width", 16)
-            )
-    except BmcUnsupported:
-        return
-    if not outcome.checked:
-        return
-    result.bmc_checked = True
-    stats.confirms += 1
-    if outcome.refuted:
-        result.bmc_refuted = True
-        stats.refuted += 1
-        context.events.emit(
-            "newton.bmc_refuted",
-            steps=len(steps),
-            width=getattr(context.options, "bmc_width", 16),
-        )
-    elif outcome.confirmed:
-        result.witness = outcome.witness
-        stats.confirmed += 1
 
 
 def _minimize_core(prover, constraints):

@@ -19,7 +19,7 @@ infeasible (UNSAT) is genuinely infeasible — the direction CEGAR needs.
 
 from repro.cfront import cast as C
 from repro.cfront.cfg import build_program_cfgs
-from repro.cfront.exprutils import fold_constants, substitute, variables, walk
+from repro.cfront.exprutils import fold_constants
 
 
 class CPathStep:
@@ -339,7 +339,3 @@ class PathSimulator:
                 self.last_assignment[(func_name, lhs.name)] = source_rhs
             return
         self._heap_write(lhs, value, func_name)
-
-
-def symbol_variables(expr):
-    return variables(expr)

@@ -105,12 +105,6 @@ class CnfEncoder:
         return out
 
 
-def tseitin(formula, atom_map, clauses):
-    """Encode ``formula`` into ``clauses``; returns the literal that is
-    true iff the formula is.  (One-shot convenience: no cross-call memo.)"""
-    return CnfEncoder(atom_map)._encode(formula, clauses)
-
-
 def formula_to_cnf(formula, atom_map=None):
     """CNF clauses asserting ``formula``; returns (clauses, atom_map)."""
     encoder = CnfEncoder(atom_map)

@@ -420,12 +420,6 @@ class Prover:
         self._emit("sat", cached=False, result=result, seconds=elapsed)
         return result
 
-    def reset_statistics(self):
-        self.stats.reset()
-
-    def clear_cache(self):
-        self.cache.clear()
-
     # -- internals -----------------------------------------------------------
 
     def _emit(self, query, cached, result, seconds):

@@ -245,7 +245,6 @@ class ReproServer:
                     name=name,
                     entry=request.get("entry", "main"),
                     labels=request.get("labels") or (),
-                    bp_dce=request.get("bp_dce", True),
                 )
             else:  # slam
                 spec = self._slam_spec(request)

@@ -245,9 +245,6 @@ class PersistentStore:
         self._total_bytes = 0
         return removed
 
-    def file_count(self):
-        return len(self._scan())
-
     # -- stats -----------------------------------------------------------------
 
     def counters(self):

@@ -140,10 +140,6 @@ class CegarResult:
     def is_safe(self):
         return self.verdict == "safe"
 
-    @property
-    def is_unsafe(self):
-        return self.verdict == "unsafe"
-
     def __repr__(self):
         return "CegarResult(%s after %d iterations, %d predicates)" % (
             self.verdict,
@@ -188,8 +184,6 @@ def _bounded_fallback(program, main, predicates, ctx, iteration, boolean_program
     result = CegarResult(
         "unknown", iteration, predicates, boolean_program=boolean_program
     )
-    if not getattr(ctx.options, "bmc_fallback", True):
-        return result
     from repro.bmc import (
         VERDICT_UNSAFE,
         VERDICT_UNSUPPORTED,

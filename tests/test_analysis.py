@@ -3,6 +3,9 @@ facts, interval fixpoints and the query discharger, boolean-program
 dead-variable elimination (with a simulation-equivalence property test),
 and the cross-iteration abstraction reuse."""
 
+import io
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
@@ -364,6 +367,19 @@ def test_bp_dce_removes_dead_variable():
     assert (
         Bebop(bp).run().error_reached == Bebop(slim).run().error_reached
     )
+
+
+@pytest.mark.parametrize("bp_dce, eliminates", [(True, True), (False, False)])
+def test_check_reads_bp_dce_from_the_context_options(bp_dce, eliminates):
+    # `run_check` (the CLI and daemon `check` core) takes DCE from the
+    # context's options, so an in-process caller and a daemon request
+    # that carry `bp_dce=False` get the full boolean program checked.
+    from repro.cli import run_check
+
+    context = EngineContext(options=C2bpOptions(bp_dce=bp_dce))
+    out = io.StringIO()
+    run_check(context, LIVE_SOURCE, LIVE_PREDICATES, out)
+    assert (context.analysis_stats.bp_vars_eliminated > 0) is eliminates
 
 
 # -- cross-iteration abstraction reuse ----------------------------------------------

@@ -125,18 +125,6 @@ def test_want_cores_false_skips_core_mapping():
     assert core is None
 
 
-def test_want_cores_default_still_shrinks():
-    prover = Prover()
-    session = prover.cube_session(
-        [parse_expression("x < 5"), parse_expression("x == 2")],
-        parse_expression("x < 10"),
-    )
-    result, core = session.implies_cube(((0, True), (1, True)))
-    assert result is True
-    assert core in (((0, True),), ((1, True),))
-    assert prover.stats.core_shrinks == 1
-
-
 # -- prover statistics ----------------------------------------------------------------
 
 
