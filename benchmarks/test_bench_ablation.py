@@ -30,7 +30,14 @@ pytestmark = pytest.mark.bench
 
 from _tables import write_table
 
-from repro import Bebop, C2bp, C2bpOptions, parse_c_program, parse_predicate_file
+from repro import (
+    Bebop,
+    C2bp,
+    C2bpOptions,
+    EngineContext,
+    parse_c_program,
+    parse_predicate_file,
+)
 from repro.programs import get_program
 
 CONFIGS = [
@@ -52,7 +59,7 @@ def _run(study_name, overrides):
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
     options = C2bpOptions(**overrides)
-    tool = C2bp(program, predicates, options=options)
+    tool = C2bp(program, predicates, context=EngineContext(options=options))
     boolean_program = tool.run()
     return tool, boolean_program
 

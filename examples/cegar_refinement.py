@@ -11,7 +11,7 @@ that refute it, and the refined abstraction validates the driver.
 Run:  python examples/cegar_refinement.py
 """
 
-from repro import Bebop, C2bp, ExplicitEngine, Prover
+from repro import Bebop, C2bp, EngineContext, ExplicitEngine
 from repro.cfront import cast as C
 from repro.cfront import parse_c_program
 from repro.core import Predicate, PredicateSet
@@ -47,7 +47,9 @@ def main():
         predicates.add(
             Predicate(C.BinOp("==", C.Id(STATE_VAR), C.IntLit(index)), None)
         )
-    prover = Prover()
+    # One context for every iteration: C2bp and Newton share its prover
+    # and query cache.
+    context = EngineContext()
 
     for iteration in range(1, 9):
         print("=== iteration %d ===" % iteration)
@@ -58,7 +60,7 @@ def main():
                 for p in predicates.all_predicates()
             )
         )
-        tool = C2bp(program, predicates, prover=prover)
+        tool = C2bp(program, predicates, context=context)
         boolean_program = tool.run()
         result = Bebop(boolean_program, main="main").run()
         print("C2bp: %d prover calls; Bebop: error reachable = %s"
@@ -71,7 +73,7 @@ def main():
         c_path = path_from_boolean_steps(program, bool_path)
         print("Bebop counterexample (%d steps); asking Newton ..." % len(c_path))
         verdict = analyze_path(
-            program, c_path, prover=prover, existing_predicates=predicates
+            program, c_path, existing_predicates=predicates, context=context
         )
         if verdict.feasible:
             print("Newton: the path is FEASIBLE — a real bug.")

@@ -48,7 +48,6 @@ from repro.core import (
     C2bpOptions,
     Predicate,
     PredicateSet,
-    abstract_program,
     parse_predicate_file,
 )
 from repro.core.replay import TraceReplayer
@@ -74,7 +73,6 @@ __all__ = [
     "SlamToolkit",
     "StatsRegistry",
     "TraceReplayer",
-    "abstract_program",
     "analyze_path",
     "cegar_loop",
     "check_property",

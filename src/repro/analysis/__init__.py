@@ -20,7 +20,7 @@ the lowered program alone determines (points-to, CFGs, mod/ref); one
 serves every C2bp run on that program, so a CEGAR loop builds them once.
 It also memoizes, per predicate set, the signatures and the
 :class:`ProgramAnalyses` (liveness, touch oracles, statement keys) that
-C2bp builds when ``options.use_analysis`` holds.  :func:`memoized_program`
+every C2bp run builds.  :func:`memoized_program`
 keeps a program and its facts on a persistent store's reuse level, so a
 warm daemon builds them once per program text.  :class:`AnalysisStats`
 is shared across a whole engine context (via
@@ -155,8 +155,7 @@ class ProgramFacts:
         return self._modref
 
     def abstraction_inputs(self, predicates, options, stats):
-        """``(signatures, analyses)`` for one C2bp run; ``analyses`` is
-        None unless ``options.use_analysis`` holds.
+        """``(signatures, analyses)`` for one C2bp run.
 
         Keyed by the translation-relevant option values and the ordered
         ``(scope, name)`` of every predicate (a name is the predicate's
@@ -169,18 +168,16 @@ class ProgramFacts:
         from repro.core.signatures import compute_signatures
 
         key = (
-            tuple(getattr(options, name, None) for name in SEMANTIC_OPTION_FIELDS),
+            tuple(getattr(options, name) for name in SEMANTIC_OPTION_FIELDS),
             tuple((p.scope, p.name) for p in predicates.all_predicates()),
         )
         entry = self._inputs.get(key)
         if entry is None:
             snapshot = predicates.copy()
             signatures = compute_signatures(self.program, snapshot)
-            analyses = None
-            if getattr(options, "use_analysis", True):
-                analyses = ProgramAnalyses(
-                    self.program, snapshot, signatures, options, self, stats
-                )
+            analyses = ProgramAnalyses(
+                self.program, snapshot, signatures, options, self, stats
+            )
             entry = (signatures, analyses)
             self._inputs[key] = entry
             if len(self._inputs) > self.ANALYSES_CAPACITY:
@@ -189,8 +186,7 @@ class ProgramFacts:
                     self._on_evict()
         else:
             self._inputs.move_to_end(key)
-            if entry[1] is not None:
-                entry[1].attach(stats)
+            entry[1].attach(stats)
         return entry
 
 
@@ -240,8 +236,8 @@ class ProgramAnalyses:
         self.facts = facts
         self.points_to = facts.points_to
         self.stats = stats
-        self.live_enabled = bool(getattr(options, "live_predicates", True))
-        self.intervals_enabled = bool(getattr(options, "intervals", True))
+        self.live_enabled = options.live_predicates
+        self.intervals_enabled = options.intervals
         self.discharger = (
             IntervalDischarger(stats) if self.intervals_enabled else None
         )
@@ -262,6 +258,8 @@ class ProgramAnalyses:
     # -- shared building blocks -------------------------------------------------
 
     def may_alias(self, func_name):
+        """A two-location may-alias oracle bound to one procedure's scope,
+        or None (assume-everything) when alias pruning is disabled."""
         if not self.options.use_alias_analysis:
             return None
         return lambda a, b: self.points_to.may_alias(a, b, func_name)

@@ -161,7 +161,7 @@ class LivePredicates(DataflowAnalysis):
         from repro.core.wp import weakest_precondition, wp_unchanged
 
         options = self._options
-        if getattr(options, "skip_unchanged", True) and wp_unchanged(
+        if options.skip_unchanged and wp_unchanged(
             stmt.lhs, stmt.rhs, predicate.expr, self._may_alias
         ):
             result = (False, frozenset())
@@ -173,7 +173,7 @@ class LivePredicates(DataflowAnalysis):
         wp_neg = weakest_precondition(
             stmt.lhs, stmt.rhs, C.negate(predicate.expr), self._may_alias
         )
-        if getattr(options, "invalidate_constant_derefs", True) and (
+        if options.invalidate_constant_derefs and (
             _has_constant_deref(wp_pos) or _has_constant_deref(wp_neg)
         ):
             # The slot becomes unknown() regardless of liveness: no reads.
@@ -195,7 +195,7 @@ class LivePredicates(DataflowAnalysis):
         phi = fold_constants(phi)
         if is_trivially_true(phi) or is_trivially_false(phi):
             return frozenset()
-        if not getattr(self._options, "cone_of_influence", True):
+        if not self._options.cone_of_influence:
             return self.all_names
         key = str(phi)
         cached = self._cone_cache.get(key)

@@ -108,6 +108,7 @@ class ReuseLevel:
         self.programs = collections.OrderedDict()  # key -> (program, facts)
         self._seen_once = collections.OrderedDict()  # key -> True
         self.program_hits = 0
+        self.program_misses = 0
         self.program_admissions = 0
         #: Memo entries dropped so far: programs, and the per-predicate-set
         #: analyses of memoized programs (:meth:`count_eviction`).  A
@@ -117,6 +118,7 @@ class ReuseLevel:
         #: whether a failing assert is reachable (:meth:`answer`).
         self.answers = collections.OrderedDict()  # key -> error_reached
         self.answer_hits = 0
+        self.answer_misses = 0
         # A daemon's flush clears both memos from the event loop while the
         # compute thread may be inside program() or answer().
         self._memo_lock = threading.Lock()
@@ -132,6 +134,7 @@ class ReuseLevel:
                 self.programs.move_to_end(key)
                 self.program_hits += 1
                 return entry
+            self.program_misses += 1
         entry = build()
         with self._memo_lock:
             if self._seen_once.pop(key, False):
@@ -151,7 +154,9 @@ class ReuseLevel:
         None when Bebop has not checked such a program yet."""
         with self._memo_lock:
             reached = self.answers.get(key)
-            if reached is not None:
+            if reached is None:
+                self.answer_misses += 1
+            else:
                 self.answers.move_to_end(key)
                 self.answer_hits += 1
             return reached
@@ -188,10 +193,12 @@ class ReuseLevel:
             "hits": self.hits,
             "programs": len(self.programs),
             "program_hits": self.program_hits,
+            "program_misses": self.program_misses,
             "program_admissions": self.program_admissions,
             "program_evictions": self.program_evictions,
             "bebop_answers": len(self.answers),
             "bebop_answer_hits": self.answer_hits,
+            "bebop_answer_misses": self.answer_misses,
         }
 
 

@@ -329,13 +329,11 @@ class Bebop:
         else:
             self.manager = BddManager()
             self._slots = {}
-        # Disk-backed compiled-table persistence: from the reuse carrier
-        # when it has one, else straight off the context's store (the
-        # plain `check` path without a CEGAR reuse object).
+        # Disk-backed compiled-table persistence off the context's store:
+        # fingerprint misses try the store before compiling, and fresh
+        # compilations are saved for later runs and processes.
         self._table_store = None
-        if reuse is not None and getattr(reuse, "persistent", None):
-            self._table_store = reuse.persistent
-        elif getattr(context, "store", None) is not None:
+        if getattr(context, "store", None) is not None:
             from repro.serve import BebopTableStore
 
             self._table_store = BebopTableStore(context.store)

@@ -22,14 +22,10 @@ from repro.bdd import BddManager
 class BebopReuse:
     """Persistent manager + compiled-transfer cache shared by Bebop runs."""
 
-    def __init__(self, max_cache_entries=None, persistent=None):
-        self.manager = BddManager(max_cache_entries=max_cache_entries)
+    def __init__(self):
+        self.manager = BddManager()
         self.slots = {}
         self.compiled = {}  # proc name -> CompiledProc
-        #: Optional :class:`repro.serve.BebopTableStore`: fingerprint
-        #: misses then try the disk store before compiling, and fresh
-        #: compilations are saved for later runs/processes.
-        self.persistent = persistent
         self.iterations = 0
         self.transfers_compiled = 0
         self.transfers_reused = 0

@@ -93,13 +93,6 @@ def _add_option_flags(parser):
         "(debug aid: malformed output fails at generation time)",
     )
     parser.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help="disable the whole static-analysis subsystem (liveness "
-        "pruning, interval discharge, BP dead-variable elimination, "
-        "cross-iteration abstraction reuse)",
-    )
-    parser.add_argument(
         "--no-live-predicates",
         action="store_true",
         help="disable live-predicate pruning (always run the cube search "
@@ -161,7 +154,6 @@ def _options_from(args):
         enforce_cube_length=args.enforce_cube_length,
         use_alias_analysis=not args.no_alias,
         invalidate_constant_derefs=not args.no_invalidate_derefs,
-        use_analysis=not args.no_analysis,
         live_predicates=not args.no_live_predicates,
         intervals=not args.no_intervals,
         bp_dce=not args.no_bp_dce,
@@ -235,7 +227,7 @@ def run_check(
     boolean_program = tool.run()
     # Labeled invariant queries observe every predicate, so DCE only
     # applies to plain reachability checks.
-    if tool.analysis is not None and context.options.bp_dce and not labels:
+    if context.options.bp_dce and not labels:
         from repro.analysis import eliminate_dead_variables
 
         boolean_program, _ = eliminate_dead_variables(

@@ -22,7 +22,7 @@ Module map (paper section in parentheses):
 - :mod:`repro.core.options` — the precision/efficiency knobs (5.2).
 """
 
-from repro.core.abstractor import C2bp, abstract_program
+from repro.core.abstractor import C2bp
 from repro.core.options import C2bpOptions
 from repro.core.predicates import (
     Predicate,
@@ -37,6 +37,5 @@ __all__ = [
     "Predicate",
     "PredicateParseError",
     "PredicateSet",
-    "abstract_program",
     "parse_predicate_file",
 ]

@@ -29,7 +29,7 @@ statements whose key is unchanged are fetched instead of re-translated
 from repro.cfront import cast as C
 from repro.cfront.pretty import pretty_stmt
 from repro.boolprog import ast as B
-from repro.analysis import ProgramFacts, TouchOracle, ensure_analysis_stats
+from repro.analysis import ProgramFacts, ensure_analysis_stats
 from repro.analysis.modref import location_keyset
 from repro.core.calls import abstract_call
 from repro.core.cubes import CubeSearch
@@ -57,17 +57,8 @@ def _has_constant_deref(expr):
 class C2bp:
     """One abstraction run: ``BP(P, E)`` plus statistics."""
 
-    def __init__(
-        self,
-        program,
-        predicates,
-        options=None,
-        prover=None,
-        facts=None,
-        context=None,
-        reuse=None,
-    ):
-        self.context = EngineContext.ensure(context, options=options, prover=prover)
+    def __init__(self, program, predicates, facts=None, context=None, reuse=None):
+        self.context = context if context is not None else EngineContext()
         self.program = program
         self.predicates = predicates
         self.options = self.context.options
@@ -79,20 +70,12 @@ class C2bp:
         self.facts = facts if facts is not None else ProgramFacts(program)
         self.points_to = self.facts.points_to
         self.signatures, self.analysis = self.facts.abstraction_inputs(
-            predicates,
-            self.options,
-            ensure_analysis_stats(self.context)
-            if getattr(self.options, "use_analysis", True)
-            else None,
+            predicates, self.options, ensure_analysis_stats(self.context)
         )
         # Cross-iteration statement-abstraction cache (CEGAR hands one
         # in); without one every statement is translated afresh.
-        self.reuse = reuse if self.analysis is not None else None
-        if (
-            self.reuse is None
-            and self.analysis is not None
-            and getattr(self.context, "store", None) is not None
-        ):
+        self.reuse = reuse
+        if self.reuse is None and self.context.store is not None:
             # A persistent store is configured: even a one-shot run reads
             # and populates the cross-run statement cache (the warm-run
             # fast path).  Imported lazily — repro.serve sits above core.
@@ -107,12 +90,11 @@ class C2bp:
             self.prover,
             self.options,
             events=self.context.events,
-            discharger=self.analysis.discharger if self.analysis else None,
+            discharger=self.analysis.discharger,
         )
         self.stats = C2bpStats()
         self.context.stats.register("c2bp", self.stats)
         self._keysets = {}  # predicate name -> canonical location keyset
-        self._touchers = {}  # func name -> TouchOracle (analysis off)
         # (procedure name, temp name) -> meaning expression E(t) for the
         # call-site temporaries of Section 4.5.3 (used by trace replay).
         self.temp_meanings = {}
@@ -127,17 +109,6 @@ class C2bp:
             entry = (predicate.expr, location_keyset(predicate.expr))
             self._keysets[id(predicate.expr)] = entry
         return entry[1]
-
-    def toucher(self, func_name):
-        """The memoized alias-aware touch oracle of one procedure: the
-        analysis subsystem's when it is on, else one kept for this run."""
-        if self.analysis is not None:
-            return self.analysis.toucher(func_name)
-        oracle = self._touchers.get(func_name)
-        if oracle is None:
-            oracle = TouchOracle(self.may_alias(func_name))
-            self._touchers[func_name] = oracle
-        return oracle
 
     def run(self):
         """Build and return the boolean program ``BP(P, E)``."""
@@ -171,8 +142,7 @@ class C2bp:
         statement in its own temp namespace, then one first-use
         renumbering of the call-site temporaries to ``__r<N>``."""
         enforce = self._enforce(func.name)
-        if self.analysis is not None:
-            self.analysis.compute_liveness(func.name, enforce)
+        self.analysis.compute_liveness(func.name, enforce)
         body = []
         renamed_temps = []
         mapping = {}
@@ -272,17 +242,10 @@ class C2bp:
         """The ``--validate-bp`` debug gate: reject a malformed translation
         here, where the C2bp inputs are still on hand, rather than letting
         Bebop trip over it later."""
-        if getattr(self.options, "validate_output", False):
+        if self.options.validate_output:
             from repro.boolprog.validate import validate_bool_program
 
             validate_bool_program(boolean_program)
-
-    def may_alias(self, func_name):
-        """A two-location may-alias oracle bound to one procedure's scope,
-        or None (assume-everything) when alias pruning is disabled."""
-        if not self.options.use_alias_analysis:
-            return None
-        return lambda a, b: self.points_to.may_alias(a, b, func_name)
 
 
 class _ProcedureAbstractor:
@@ -294,13 +257,10 @@ class _ProcedureAbstractor:
         self.signature = parent.signatures[func.name]
         # Scope = E_G followed by E_R (order is stable for output).
         self.scope_predicates = parent.predicates.in_scope(func.name)
-        self._may_alias = parent.may_alias(func.name)
-        self._toucher = parent.toucher(func.name)
+        self._may_alias = parent.analysis.may_alias(func.name)
+        self._toucher = parent.analysis.toucher(func.name)
         # Liveness is solved before any of the procedure's statements.
-        analysis = parent.analysis
-        self._liveness = (
-            analysis.liveness(func.name) if analysis is not None else None
-        )
+        self._liveness = parent.analysis.liveness(func.name)
         self._temp_counter = 0
         self._temp_prefix = temp_prefix
         self._extra_locals = []
@@ -513,9 +473,3 @@ class _ProcedureAbstractor:
             C.negate(stmt.cond), stmt, "loop exit: " + comment
         )
 
-
-def abstract_program(program, predicates, options=None, prover=None, context=None):
-    """Convenience wrapper: run C2bp and return (boolean program, stats)."""
-    tool = C2bp(program, predicates, options=options, prover=prover, context=context)
-    boolean_program = tool.run()
-    return boolean_program, tool.stats

@@ -20,10 +20,10 @@ import dataclasses
 #: provably print the same bytes share entries.  Each has a named user:
 #: ``cache_prover`` the paper's optimization-five ablation
 #: (``benchmarks/test_bench_ablation.py``); ``jobs`` the ``perfbench``
-#: workloads, which pin ``jobs=1``; ``bp_dce`` (a post-pass) the
-#: analysis benchmark's ``--no-bp-dce`` configuration and the fuzz
-#: oracle's identity mode; ``validate_output`` the fuzz oracle and the
-#: corpus-repro workflow in ``docs/TESTING.md``; ``cache_dir`` and
+#: workloads, which pin ``jobs=1``; ``bp_dce`` (a post-pass)
+#: ``--no-bp-dce`` and the fuzz oracle's identity mode;
+#: ``validate_output`` the fuzz oracle and the corpus-repro workflow in
+#: ``docs/TESTING.md``; ``cache_dir`` and
 #: ``cache_max_bytes`` the ``--cache-dir`` store and ``repro serve``;
 #: ``bmc_depth`` and ``bmc_width`` the CEGAR stall fallback, whose
 #: bounds stay named flags.
@@ -37,7 +37,6 @@ SEMANTIC_OPTION_FIELDS = (
     "enforce_cube_length",
     "use_alias_analysis",
     "invalidate_constant_derefs",
-    "use_analysis",
     "live_predicates",
     "intervals",
 )
@@ -95,30 +94,20 @@ class C2bpOptions:
     #: :class:`ValueError`.
     jobs: int = 1
 
-    #: Master switch for the static-analysis subsystem
-    #: (:mod:`repro.analysis`).  Off reproduces the pre-analysis pipeline
-    #: exactly: no liveness pruning, no interval discharge, no BP DCE,
-    #: no cross-iteration abstraction reuse.
-    use_analysis: bool = True
-
     #: Backward live-predicate analysis: C2bp emits ``unknown()`` for
     #: (statement, predicate) slots whose value cannot reach any
-    #: observation point, skipping their cube searches, and the CEGAR
-    #: loop reuses translations of statements the new predicates cannot
-    #: touch.  Requires ``use_analysis``.
+    #: observation point, skipping their cube searches.
     live_predicates: bool = True
 
     #: Interval abstract interpretation: discharge cube validity queries
     #: the intervals already decide before any prover call, and export
     #: loop-head invariants as candidate predicates when Newton stalls.
-    #: Requires ``use_analysis``.
     intervals: bool = True
 
     #: Boolean-program dead-variable elimination before model checking
     #: (never-read variables and their assignments are removed; verdicts
     #: and label invariants over surviving variables are unchanged).
-    #: Requires ``use_analysis``.  Its users are ``--no-bp-dce``, the
-    #: analysis benchmark and the fuzz oracle's identity mode.
+    #: Its users are ``--no-bp-dce`` and the fuzz oracle's identity mode.
     bp_dce: bool = True
 
     #: Root directory of the content-addressed persistent cache

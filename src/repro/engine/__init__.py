@@ -2,8 +2,8 @@
 
 This package is infrastructure, not paper reproduction: it gives the
 C2bp → Bebop → Newton → SLAM pipeline one instrumented
-prover/stats/config object (:class:`EngineContext`) instead of loose
-``prover=``/``options=`` keywords at every layer boundary.
+prover/stats/config object (:class:`EngineContext`), the one
+configuration channel every layer boundary takes.
 
 - :mod:`repro.engine.context` — :class:`EngineContext`, the bundle the
   pipeline threads through every layer;

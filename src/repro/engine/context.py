@@ -19,9 +19,11 @@ Construct one context per verification task and pass it down::
     result = cegar_loop(program, initial_predicates=preds, context=ctx)
     print(ctx.stats.to_json())
 
-Every pipeline entry point still accepts the old ``options=``/``prover=``
-keywords; they are shims that build a private context
-(:meth:`EngineContext.ensure`), so existing callers keep working.
+The context is the only way to configure a run: the pipeline entry
+points (:class:`repro.core.C2bp`, :func:`repro.slam.cegar_loop`,
+:meth:`repro.slam.SlamToolkit.check`, :func:`repro.newton.analyze_path`)
+take ``context=`` and no loose ``options=``/``prover=`` keywords.  One
+called without a context builds a private default one.
 """
 
 import contextlib
@@ -35,17 +37,7 @@ from repro.prover import Prover, QueryCache
 class EngineContext:
     """Options + prover backend + event sink + unified stats registry."""
 
-    def __init__(
-        self,
-        options=None,
-        prover=None,
-        backend=None,
-        events=None,
-        stats=None,
-        cache=None,
-        record_events=True,
-        store=None,
-    ):
+    def __init__(self, options=None, backend=None, cache=None, store=None):
         if options is None:
             # Imported lazily: repro.core.abstractor imports this package,
             # so a module-level import would cycle when repro.engine is
@@ -54,8 +46,8 @@ class EngineContext:
 
             options = C2bpOptions()
         self.options = options
-        self.events = events if events is not None else EventBus(record=record_events)
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.events = EventBus()
+        self.stats = StatsRegistry()
         # The content-addressed persistent store (repro.serve): adopted
         # from the caller, inherited from a store-backed cache, or opened
         # from options.cache_dir.  An owned store is this context's to
@@ -65,58 +57,35 @@ class EngineContext:
             self.store = store
         elif cache is not None and getattr(cache, "disk", None) is not None:
             self.store = cache.disk
-        elif prover is not None and getattr(prover.cache, "disk", None) is not None:
-            self.store = prover.cache.disk
-        elif getattr(self.options, "cache_dir", None):
+        elif options.cache_dir:
             # Imported lazily: repro.serve imports the prover layer.
             from repro.serve import PersistentStore
 
             self.store = PersistentStore(
-                self.options.cache_dir,
-                max_bytes=getattr(self.options, "cache_max_bytes", None),
+                options.cache_dir, max_bytes=options.cache_max_bytes
             )
             self._owned_store = True
         else:
             self.store = None
-        if prover is not None:
-            # Adopt a caller-supplied prover (the legacy ``prover=`` shim):
-            # share its cache and attach our event sink if it has none.
-            self.prover = prover
-            self.cache = prover.cache
-            if prover.events is None:
-                prover.events = self.events
-        else:
-            if cache is not None:
-                self.cache = cache
-            elif self.store is not None:
-                from repro.serve import PersistentQueryCache
+        if cache is not None:
+            self.cache = cache
+        elif self.store is not None:
+            from repro.serve import PersistentQueryCache
 
-                self.cache = PersistentQueryCache(self.store)
-            else:
-                self.cache = QueryCache()
-            self.prover = Prover(
-                enable_cache=self.options.cache_prover,
-                cache=self.cache,
-                backend=backend,
-                events=self.events,
-            )
+            self.cache = PersistentQueryCache(self.store)
+        else:
+            self.cache = QueryCache()
+        self.prover = Prover(
+            enable_cache=options.cache_prover,
+            cache=self.cache,
+            backend=backend,
+            events=self.events,
+        )
         self.stats.register("prover", self.prover.stats)
         self.stats.register("prover_cache", self.cache)
         self.stats.register("events", self.events)
         if self.store is not None:
             self.stats.register("persistent_cache", self.store.snapshot)
-
-    @classmethod
-    def ensure(cls, context=None, options=None, prover=None):
-        """The deprecation shim: pass an existing context through, or wrap
-        legacy ``options=``/``prover=`` keywords in a fresh one.
-
-        When ``context`` is given it wins; the legacy keywords are ignored
-        (callers migrating incrementally may still be passing both).
-        """
-        if context is not None:
-            return context
-        return cls(options=options, prover=prover)
 
     def close(self):
         """Release long-lived resources (an owned store); idempotent.

@@ -11,12 +11,11 @@ Given the path constraints from :class:`PathSimulator`:
    the assignments feeding the core's variables.
 """
 
-import contextlib
-
 from repro.cfront import cast as C
 from repro.cfront.exprutils import is_pure_predicate, substitute, variables
 from repro.core.predicates import Predicate
-from repro.prover import Prover, Satisfiability
+from repro.engine import EngineContext
+from repro.prover import Satisfiability
 from repro.newton.pathsym import PathSimulator
 
 
@@ -36,15 +35,11 @@ class NewtonResult:
         )
 
 
-def analyze_path(program, steps, prover=None, existing_predicates=None, context=None):
+def analyze_path(program, steps, existing_predicates=None, context=None):
     """Analyze one C-level path (list of :class:`CPathStep`)."""
-    if context is not None:
-        prover = prover if prover is not None else context.prover
-        phase = context.phase("newton")
-    else:
-        prover = prover or Prover()
-        phase = contextlib.nullcontext()
-    with phase:
+    context = context if context is not None else EngineContext()
+    prover = context.prover
+    with context.phase("newton"):
         simulator = PathSimulator(program)
         constraints = simulator.simulate(steps)
         formulas = [c.formula for c in constraints]

@@ -115,7 +115,7 @@ def query_store_key(key):
 def options_fingerprint(options):
     """A short digest of the semantically relevant option fields, computed
     once per distinct tuple of values."""
-    values = tuple(getattr(options, name, None) for name in SEMANTIC_OPTION_FIELDS)
+    values = tuple(getattr(options, name) for name in SEMANTIC_OPTION_FIELDS)
     return _fingerprint(values, tuple(map(type, values)))
 
 

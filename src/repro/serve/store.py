@@ -148,9 +148,6 @@ class PersistentStore:
             pass
         return True, value
 
-    def contains(self, key_text):
-        return os.path.exists(self._path(key_text))
-
     def put(self, key_text, value, overwrite=False):
         """Write one record atomically; a no-op (unless ``overwrite``) when
         the record already exists — answers are deterministic, so the
@@ -250,22 +247,26 @@ class PersistentStore:
     def counters(self):
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
 
-    def counters_with_namespaces(self):
-        out = self.counters()
-        out["namespaces"] = {
-            name: dict(entry) for name, entry in self._namespace_counts.items()
-        }
-        return out
-
     def snapshot(self):
+        """The counters, with ``hits``/``misses`` counting every lookup
+        the store serves once, at whichever level answers it: the reuse
+        level's statements and enforce invariants (a level miss falls
+        through to a disk record, which counts it), its program memo and
+        Bebop answers, and the disk records.  ``namespaces`` keeps the
+        disk records' own hits and misses."""
+        level = self.reuse_level.snapshot()
         out = self.counters()
+        out["hits"] += (
+            level["hits"] + level["program_hits"] + level["bebop_answer_hits"]
+        )
+        out["misses"] += level["program_misses"] + level["bebop_answer_misses"]
         out["namespaces"] = {
             name: dict(entry)
             for name, entry in sorted(self._namespace_counts.items())
         }
         out["root"] = self.root
         out["max_bytes"] = self.max_bytes
-        out["reuse_level"] = self.reuse_level.snapshot()
+        out["reuse_level"] = level
         return out
 
     def close(self):

@@ -152,8 +152,6 @@ def _interval_fallback_predicates(program, tool, predicates):
     """Candidate predicates from the interval analysis' loop-head
     invariants, deduplicated against the current set (Newton-stall
     fallback; empty when intervals are disabled)."""
-    if tool.analysis is None:
-        return []
     existing = set()
     for p in predicates.all_predicates():
         existing.add((p.scope, p.expr))
@@ -192,8 +190,8 @@ def _bounded_fallback(program, main, predicates, ctx, iteration, boolean_program
     )
     from repro.bmc.driver import REPLAY_ASSERT_FAILED
 
-    depth = getattr(ctx.options, "bmc_depth", 16)
-    width = getattr(ctx.options, "bmc_width", 16)
+    depth = ctx.options.bmc_depth
+    width = ctx.options.bmc_width
     with ctx.phase("bmc-fallback"):
         bmc = run_bmc(program, entry=main, depth=depth, width=width, context=ctx)
     if bmc.verdict == VERDICT_UNSUPPORTED:
@@ -221,8 +219,6 @@ def cegar_loop(
     initial_predicates=None,
     main="main",
     max_iterations=10,
-    options=None,
-    prover=None,
     context=None,
     facts=None,
 ):
@@ -231,7 +227,7 @@ def cegar_loop(
     ``facts`` is the program's :class:`repro.analysis.ProgramFacts` when
     the caller keeps one (a warm daemon does); otherwise the loop builds
     its own, once for all iterations."""
-    ctx = EngineContext.ensure(context, options=options, prover=prover)
+    ctx = context if context is not None else EngineContext()
     try:
         return _cegar_loop(
             program, initial_predicates, main, max_iterations, ctx,
@@ -239,8 +235,8 @@ def cegar_loop(
         )
     finally:
         if context is None:
-            # The loop owns this private context (and any store it
-            # opened); close it on every exit path.
+            # The loop owns this private context; close it on every
+            # exit path.
             ctx.close()
 
 
@@ -249,35 +245,25 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
     engine_prover = ctx.prover
     # One BDD manager + compiled-transfer cache for the whole loop: each
     # refinement changes a few procedures; the rest check with the
-    # transfer relations compiled in earlier iterations.
-    persistent_tables = None
-    # Bebop's answers by reachability key, kept on the store's reuse level
-    # (a daemon meets the same checked program again; a store-less loop
-    # never does, so it keeps no memo).
-    answers = None
-    if getattr(ctx, "store", None) is not None:
-        answers = ctx.store.reuse_level
-        # A --cache-dir run: compiled tables also come from / go to the
-        # content-addressed store, so unchanged procedures skip
-        # recompilation across *runs*, not just across iterations.
-        from repro.serve import BebopTableStore
-
-        persistent_tables = BebopTableStore(ctx.store)
-    reuse = BebopReuse(persistent=persistent_tables)
+    # transfer relations compiled in earlier iterations (and, with a
+    # --cache-dir store, Bebop loads tables compiled by earlier runs).
+    reuse = BebopReuse()
     ctx.stats.register("bebop_loop", reuse.snapshot)
-    # Cross-iteration statement-abstraction cache.
-    abstraction_reuse = None
-    analysis_stats = None
-    if getattr(ctx.options, "use_analysis", True):
-        analysis_stats = ensure_analysis_stats(ctx)
-        if getattr(ctx, "store", None) is not None:
-            from repro.serve import PersistentAbstractionReuse
+    # Cross-iteration statement-abstraction cache, and Bebop's answers by
+    # reachability key on the store's reuse level (a daemon meets the
+    # same checked program again; a store-less loop never does, so it
+    # keeps no memo).
+    analysis_stats = ensure_analysis_stats(ctx)
+    answers = None
+    if ctx.store is not None:
+        from repro.serve import PersistentAbstractionReuse
 
-            abstraction_reuse = PersistentAbstractionReuse(
-                ctx.store, ctx.options, stats=analysis_stats
-            )
-        else:
-            abstraction_reuse = AbstractionReuse(stats=analysis_stats)
+        answers = ctx.store.reuse_level
+        abstraction_reuse = PersistentAbstractionReuse(
+            ctx.store, ctx.options, stats=analysis_stats
+        )
+    else:
+        abstraction_reuse = AbstractionReuse(stats=analysis_stats)
     started = time.perf_counter()
     stats = []
     iteration_log = IterationLog()
@@ -290,9 +276,7 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
         calls_before = engine_prover.stats.calls
         queries_before = engine_prover.stats.queries
         hits_before = engine_prover.stats.cache_hits
-        analysis_before = (
-            analysis_stats.snapshot() if analysis_stats is not None else {}
-        )
+        analysis_before = analysis_stats.snapshot()
         # Only the predicate set changes between iterations: points-to,
         # CFGs and mod/ref come from the loop's one ProgramFacts.
         tool = C2bp(
@@ -303,7 +287,7 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
         # Model-check the DCE'd program; the result object carries the
         # full translation (its label invariants name every predicate).
         checked_program = boolean_program
-        if tool.analysis is not None and getattr(ctx.options, "bp_dce", True):
+        if ctx.options.bp_dce:
             checked_program, _ = eliminate_dead_variables(
                 boolean_program, stats=analysis_stats
             )
@@ -363,12 +347,10 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
                 else:
                     for predicate in newton.new_predicates:
                         predicates.add(predicate)
-        analysis_after = (
-            analysis_stats.snapshot() if analysis_stats is not None else {}
-        )
+        analysis_after = analysis_stats.snapshot()
 
         def _delta(name):
-            return analysis_after.get(name, 0) - analysis_before.get(name, 0)
+            return analysis_after[name] - analysis_before[name]
 
         record = IterationStats(
             len(predicates),

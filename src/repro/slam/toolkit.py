@@ -67,7 +67,6 @@ class SlamToolkit:
         entry="main",
         extra_predicates=(),
         max_iterations=10,
-        options=None,
         context=None,
     ):
         # Instrumentation mutates, so each check instruments a parse of
@@ -94,7 +93,6 @@ class SlamToolkit:
             initial_predicates=predicates,
             main=entry,
             max_iterations=max_iterations,
-            options=options,
             context=context,
             facts=facts,
         )

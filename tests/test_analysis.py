@@ -36,8 +36,15 @@ from repro.cfront.pretty import pretty_expr
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.engine import EngineContext
 from repro.fuzz import ProgramGenerator
+from repro.programs import get_driver, get_program
 from repro.prover import Prover
+from repro.slam import SafetySpec, check_property
 from repro.slam.cegar import _interval_fallback_predicates, cegar_loop
+
+
+#: Identity mode: every pass that can change the printed or the checked
+#: boolean program turned off; the "off" side of the differentials below.
+IDENTITY = {"live_predicates": False, "intervals": False, "bp_dce": False}
 
 
 def _abstract(source, predicate_text, **options):
@@ -416,7 +423,7 @@ def test_reuse_across_cegar_iterations():
     off = cegar_loop(
         program,
         max_iterations=6,
-        context=EngineContext(options=C2bpOptions(use_analysis=False)),
+        context=EngineContext(options=C2bpOptions(**IDENTITY)),
     )
     assert off.verdict == result.verdict
 
@@ -530,3 +537,69 @@ def test_memoized_analyses_count_into_the_current_context():
     # context's counters were final once its run was over.
     assert second["modref_touch_queries"] > 0
     assert contexts[0].analysis_stats.snapshot() == first
+
+
+# -- the passes against identity mode on the corpus ---------------------------------
+
+
+def _failure_sites(result):
+    return {
+        (proc, node.stmt.source_sid, node.stmt.comment)
+        for proc, node, _ in result.assertion_failures
+    }
+
+
+def _check_study(study, **options):
+    """One Table-2 program through C2bp + Bebop."""
+    program = parse_c_program(study.source, study.name)
+    predicates = parse_predicate_file(study.predicate_text, program)
+    tool = C2bp(
+        program, predicates, context=EngineContext(options=C2bpOptions(**options))
+    )
+    boolean_program = tool.run()
+    check = Bebop(boolean_program, main=study.entry).run()
+    return tool, boolean_program, check
+
+
+@pytest.mark.parametrize("name", ["partition", "listfind"])
+def test_passes_keep_table2_verdicts_with_no_more_prover_calls(name):
+    study = get_program(name)
+    tool, _, check = _check_study(study)
+    off_tool, _, off_check = _check_study(study, **IDENTITY)
+    assert check.error_reached == off_check.error_reached
+    assert _failure_sites(check) == _failure_sites(off_check)
+    assert tool.stats.prover_calls <= off_tool.stats.prover_calls
+
+
+def test_bp_dce_projects_partition_without_moving_the_verdict():
+    # partition carries never-read boolean variables.
+    study = get_program("partition")
+    _, boolean_program, check = _check_study(study)
+    slim, removed = eliminate_dead_variables(boolean_program)
+    assert removed >= 1
+    slim_check = Bebop(slim, main=study.entry).run()
+    assert slim_check.error_reached == check.error_reached
+    assert _failure_sites(slim_check) == _failure_sites(check)
+
+
+def test_floppy_irp_cegar_engages_every_pass():
+    """The multi-iteration floppy/IRP run engages interval discharge,
+    BP DCE, cross-iteration reuse and mod/ref summaries, with the
+    verdict and iteration count of identity mode."""
+    driver = get_driver("floppy")
+    irp = SafetySpec.complete_exactly_once("IoCompleteRequest")
+    runs = []
+    for options in ({}, IDENTITY):
+        context = EngineContext(options=C2bpOptions(**options))
+        result = check_property(
+            driver.source, irp, entry=driver.entry, max_iterations=8,
+            context=context,
+        )
+        runs.append((result, context.analysis_stats))
+    (full, stats), (off, _) = runs
+    assert full.verdict == off.verdict
+    assert full.iterations == off.iterations
+    assert stats.queries_discharged_interval > 0
+    assert stats.bp_vars_eliminated > 0
+    assert stats.c2bp_stmts_reused > 0
+    assert stats.modref_summary_hits > 0

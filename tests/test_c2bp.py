@@ -20,6 +20,7 @@ from repro.boolprog import (
 from repro.bebop import Bebop
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.core.cubes import CubeSearch
+from repro.engine import EngineContext
 from repro.prover import Prover
 
 
@@ -207,10 +208,10 @@ def test_partition_prover_call_count_reasonable(partition_bp):
 # -- feature-focused abstractions ------------------------------------------------
 
 
-def abstract(source, predicate_text, options=None):
+def abstract(source, predicate_text, context=None):
     program = parse_c_program(source)
     predicates = parse_predicate_file(predicate_text, program)
-    tool = C2bp(program, predicates, options=options)
+    tool = C2bp(program, predicates, context=context)
     return program, tool.run(), tool
 
 
@@ -281,7 +282,7 @@ def test_enforce_disabled_by_option():
     _, bp, _ = abstract(
         "void main(void) { int x; x = 1; }",
         "main\nx == 1, x == 2\n",
-        options=C2bpOptions(compute_enforce=False),
+        context=EngineContext(options=C2bpOptions(compute_enforce=False)),
     )
     assert bp.procedures["main"].enforce is None
 

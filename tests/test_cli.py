@@ -234,8 +234,7 @@ def test_analysis_flags_are_accepted_and_verdict_neutral(tmp_path):
     ]
     code, baseline = run_cli(base_args)
     assert code == 0
-    for flag in ("--no-analysis", "--no-live-predicates", "--no-intervals",
-                 "--no-bp-dce"):
+    for flag in ("--no-live-predicates", "--no-intervals", "--no-bp-dce"):
         code, output = run_cli(base_args + [flag])
         assert code == 0, output
         # Disabling any analysis pass never changes the verdict line.

@@ -10,7 +10,8 @@ from repro.cfront import parse_c_program
 from repro.core import C2bp, C2bpOptions, Predicate, PredicateSet
 from repro.engine import EngineContext, StatsRegistry
 from repro.prover import Prover, Satisfiability
-from repro.slam import cegar_loop, SafetySpec
+from repro.newton import analyze_path
+from repro.slam import SafetySpec, SlamToolkit, cegar_loop
 from repro.slam.instrument import STATE_VAR, instrument_program
 
 # The nPackets lock-discipline driver of examples/cegar_refinement.py:
@@ -63,7 +64,7 @@ def test_cross_iteration_cache_reuse():
 
     # Baseline: the same final abstraction built against a fresh prover
     # (no state carried over from iteration 1 or Newton).
-    fresh = C2bp(program, result.predicates, prover=Prover())
+    fresh = C2bp(program, result.predicates, context=EngineContext())
     fresh.run()
     assert second.prover_calls < fresh.stats.prover_calls
 
@@ -117,24 +118,25 @@ def test_event_bus_records_pipeline_events():
     assert cached, "shared cache should answer some queries"
 
 
-def test_legacy_prover_options_kwargs_still_work():
+@pytest.mark.parametrize(
+    "keyword", [{"options": C2bpOptions()}, {"prover": Prover()}],
+    ids=["options", "prover"],
+)
+def test_entry_points_reject_loose_configuration_keywords(keyword):
+    """The engine context is the only configuration channel: a loose
+    ``options=`` or ``prover=`` keyword is a TypeError at every entry
+    point, never silently ignored beside a ``context=``."""
     program, predicates = _npackets_setup()
-    prover = Prover()
-    result = cegar_loop(
-        program, initial_predicates=predicates, main="main", prover=prover
-    )
-    assert result.verdict == "safe"
-    assert result.total_prover_calls == prover.stats.calls
-
-
-def test_context_adopts_supplied_prover():
-    prover = Prover()
-    context = EngineContext(prover=prover)
-    assert context.prover is prover
-    assert context.cache is prover.cache
-    assert prover.events is context.events
-    assert EngineContext.ensure(context) is context
-    assert EngineContext.ensure(None, prover=prover).prover is prover
+    spec = SafetySpec.lock_discipline("KeAcquireSpinLock", "KeReleaseSpinLock")
+    calls = [
+        lambda: C2bp(program, predicates, context=EngineContext(), **keyword),
+        lambda: cegar_loop(program, initial_predicates=predicates, **keyword),
+        lambda: SlamToolkit(NPACKETS_SOURCE).check(spec, **keyword),
+        lambda: analyze_path(program, [], **keyword),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
 
 @pytest.mark.parametrize("jobs", [0, 2])

@@ -674,6 +674,7 @@ def test_removed_option_fields_are_ignored():
         "strengthen": "cubes",
         "theory_incremental": False,
         "persistent_cache": False,
+        "use_analysis": False,
     }
     requests = [
         _check_request(get_program("partition")),

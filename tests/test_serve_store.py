@@ -9,6 +9,7 @@ antecedents, and whitespace must not change a key, while semantically
 different queries must not collide.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -72,7 +73,7 @@ def test_store_roundtrip_and_counters(tmp_path):
     hit, value = store.get("prover|v1|q")
     assert hit and value == ("valid", True)
     assert store.hits == 1 and store.writes == 1
-    assert store.counters_with_namespaces()["namespaces"]["prover"] == {
+    assert store.snapshot()["namespaces"]["prover"] == {
         "hits": 1,
         "misses": 1,
     }
@@ -135,8 +136,34 @@ def test_lru_eviction_respects_cap_and_recency(tmp_path):
         store.put("k%d" % index, payload)
     assert store.evictions > 0
     assert store.total_bytes() <= 3000
-    assert store.contains("k0"), "recently-touched record must survive"
-    assert not store.contains("k1"), "oldest untouched record must be evicted"
+    assert os.path.exists(store._path("k0")), (
+        "recently-touched record must survive"
+    )
+    assert not os.path.exists(store._path("k1")), (
+        "oldest untouched record must be evicted"
+    )
+
+
+def test_snapshot_hits_count_reuse_level_lookups(tmp_path):
+    """The snapshot's ``hits`` count the lookups the reuse level answers,
+    not only disk reads: a repeat abstraction of one text on one store
+    object reads no disk record, yet its hits grow."""
+    from repro.cli import run_abstract
+
+    study = get_program("partition")
+    store = PersistentStore(str(tmp_path))
+    snapshots = []
+    for _ in range(2):
+        with EngineContext(store=store) as context:
+            run_abstract(
+                context, study.source, study.predicate_text, io.StringIO(),
+                name=study.name,
+            )
+        snapshots.append(store.snapshot())
+    first, second = snapshots
+    assert second["bytes_read"] == first["bytes_read"]
+    assert second["namespaces"] == first["namespaces"]
+    assert second["hits"] > first["hits"]
 
 
 #: The near-repeat edit: a new procedure appended after the existing

@@ -13,6 +13,7 @@ from repro.cfront import parse_c_program
 from repro.cfront.interp import Cell
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.core.replay import TraceReplayer
+from repro.engine import EngineContext
 
 
 def replay(source, predicate_text, entry="main", args=(), oracle=None, args_factory=None):
@@ -293,7 +294,7 @@ def test_random_programs_sound_without_optimizations(case):
         max_cube_length=2,
         distribute_f=True,
     )
-    tool = C2bp(program, predicates, options=options)
+    tool = C2bp(program, predicates, context=EngineContext(options=options))
     boolean_program = tool.run()
     report = TraceReplayer(tool, boolean_program).run()
     assert_sound(report)
