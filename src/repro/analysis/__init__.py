@@ -21,7 +21,7 @@ serves every C2bp run on that program, so a CEGAR loop builds them once.
 It also memoizes, per predicate set, the signatures and the
 :class:`ProgramAnalyses` (liveness, touch oracles, statement keys) that
 every C2bp run builds.  :func:`memoized_program`
-keeps a program and its facts on a persistent store's reuse level, so a
+keeps a program and its facts on the engine context's reuse level, so a
 warm daemon builds them once per program text.  :class:`AnalysisStats`
 is shared across a whole engine context (via
 :func:`ensure_analysis_stats`) so the CEGAR loop can report
@@ -194,18 +194,12 @@ def memoized_program(context, source, build, *key):
     """``(program, facts)`` for the program ``build()`` lowers from
     ``source``.
 
-    Without a persistent store on ``context`` this builds both afresh.
-    With one, the pair is looked up on the store's reuse level by the
-    source's digest plus ``key`` (whatever else ``build`` reads), and a
-    text seen twice is kept there for later requests: the program is then
-    shared and must never be mutated.
+    The pair is looked up on the context's reuse level by the source's
+    digest plus ``key`` (whatever else ``build`` reads), and a text seen
+    twice is kept there for later requests: the program is then shared
+    and must never be mutated.
     """
-
-    store = getattr(context, "store", None)
-    if store is None:
-        program = build()
-        return program, ProgramFacts(program)
-    level = store.reuse_level
+    level = context.reuse_level
 
     def build_entry():
         program = build()
@@ -242,7 +236,7 @@ class ProgramAnalyses:
             IntervalDischarger(stats) if self.intervals_enabled else None
         )
         self._touchers = {}
-        self._keysets = {}  # predicate name -> location keyset
+        self._keysets = {}  # predicate expression -> location keyset
         self._liveness = {}  # func name -> LivePredicates
         self._statement_keys = {}  # (func name, index) -> statement key
 
@@ -272,11 +266,43 @@ class ProgramAnalyses:
         return oracle
 
     def predicate_keyset(self, predicate):
-        keyset = self._keysets.get(predicate.name)
+        """The predicate's canonical location keyset, once per distinct
+        expression.  Keyed by the expression's value, not the predicate's
+        name: call-site temporaries reuse names like ``__r0`` across
+        procedures while standing for different meanings."""
+        keyset = self._keysets.get(predicate.expr)
         if keyset is None:
             keyset = location_keyset(predicate.expr)
-            self._keysets[predicate.name] = keyset
+            self._keysets[predicate.expr] = keyset
         return keyset
+
+    def cone(self, func_name, candidates, seed):
+        """The candidates whose locations transitively touch the location
+        keyset ``seed`` in ``func_name`` (the touch fixpoint behind C2bp's
+        cone of influence and the statement keys' mod/ref closure), in
+        candidate order."""
+        # Canonical-text keysets plus the memoized TouchOracle: text
+        # equality decides the common case without any alias query, and
+        # each distinct location pair is asked of the points-to oracle at
+        # most once per procedure.
+        toucher = self.toucher(func_name)
+        relevant = dict(seed)
+        chosen = set()
+        remaining = list(candidates)
+        changed = True
+        while changed:
+            changed = False
+            still_remaining = []
+            for candidate in remaining:
+                keyset = self.predicate_keyset(candidate)
+                if toucher.touch(keyset, relevant):
+                    chosen.add(id(candidate))
+                    relevant.update(keyset)
+                    changed = True
+                else:
+                    still_remaining.append(candidate)
+            remaining = still_remaining
+        return [c for c in candidates if id(c) in chosen]
 
     @property
     def cfgs(self):
@@ -331,24 +357,8 @@ class ProgramAnalyses:
             return None
         touched = dict(summary.mod)
         touched.update(summary.ref)
-        toucher = self.toucher(func_name)
         scope = self.predicates.in_scope(func_name)
-        chosen = set()
-        remaining = list(scope)
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for predicate in remaining:
-                keyset = self.predicate_keyset(predicate)
-                if toucher.touch(keyset, touched):
-                    chosen.add(predicate.name)
-                    touched.update(keyset)
-                    changed = True
-                else:
-                    still.append(predicate)
-            remaining = still
-        return chosen
+        return {p.name for p in self.cone(func_name, scope, touched)}
 
     def _signature_fingerprint(self, func_name):
         signature = self.signatures.get(func_name)

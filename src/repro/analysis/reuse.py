@@ -1,4 +1,4 @@
-"""Cross-iteration reuse of statement abstractions.
+"""The reuse level, and cross-iteration reuse of statement abstractions.
 
 Each CEGAR iteration re-runs C2bp with a slightly larger predicate set,
 yet most statements' translations cannot have changed: a new predicate
@@ -9,6 +9,10 @@ parts keyed by everything the translation reads — the statement text,
 the scope predicates inside its mod/ref closure, its liveness fact, and
 the involved signatures — so the next iteration re-translates only the
 statements the new predicates actually touch.
+
+Every C2bp run translates through one, over its engine context's
+:class:`ReuseLevel`, which also keeps the program memo and Bebop's
+answers and tables.
 
 Byte identity with a fresh run comes from C2bp's one assembly path:
 every statement, fetched or fresh, is translated with a per-statement
@@ -92,18 +96,20 @@ class ReuseLevel:
     """The in-memory level: statement payloads and enforce invariants by
     key, plus a count of the lookups it answered.
 
-    A plain :class:`AbstractionReuse` owns one for one CEGAR loop; the
-    store-backed subclass shares the one on its persistent store, so there
-    it lives as long as the store object does.  That level also memoizes
-    lowered programs with their facts (:meth:`program`), so a daemon that
-    sees a text again skips its front end and analyses, and Bebop's
-    answer per checked boolean program (:meth:`answer`), so a CEGAR loop
-    that meets a program Bebop already checked skips Bebop.
+    An :class:`repro.engine.EngineContext` owns one; the daemon hands
+    its one level to every request, with or without a store.  It also
+    memoizes lowered programs with their facts (:meth:`program`), so a
+    daemon that sees a text again skips its front end and analyses,
+    Bebop's answer per checked boolean program (:meth:`answer`), so a
+    CEGAR loop that meets a program Bebop already checked skips Bebop,
+    and keeps the Bebop table records a store reads or writes
+    (``tables``).
     """
 
     def __init__(self):
         self.statements = {}  # key -> payload
         self.enforce = {}  # key -> enforce expr (possibly None)
+        self.tables = {}  # store key text -> Bebop table record (read-only)
         self.hits = 0
         self.programs = collections.OrderedDict()  # key -> (program, facts)
         self._seen_once = collections.OrderedDict()  # key -> True
@@ -176,11 +182,12 @@ class ReuseLevel:
         """Empty the level; returns how many entries it dropped."""
         with self._memo_lock:
             dropped = (
-                len(self.statements) + len(self.enforce) + len(self.programs)
-                + len(self.answers)
+                len(self.statements) + len(self.enforce) + len(self.tables)
+                + len(self.programs) + len(self.answers)
             )
             self.statements.clear()
             self.enforce.clear()
+            self.tables.clear()
             self.programs.clear()
             self._seen_once.clear()
             self.answers.clear()
@@ -190,6 +197,7 @@ class ReuseLevel:
         return {
             "statements": len(self.statements),
             "enforce": len(self.enforce),
+            "bebop_tables": len(self.tables),
             "hits": self.hits,
             "programs": len(self.programs),
             "program_hits": self.program_hits,
@@ -203,19 +211,23 @@ class ReuseLevel:
 
 
 class AbstractionReuse:
-    """The cache.  One instance lives across the CEGAR loop; C2bp
-    consults it per top-level statement (and per procedure enforce).
+    """The cache C2bp consults per top-level statement (and per
+    procedure enforce); an engine context keeps one.
 
-    Subclasses add a lower level under the in-memory one through the
-    ``_level_key``/``_load``/``_save`` hooks (and their enforce twins).
+    Entries sit on ``level`` under ``(options fingerprint, key)``, since
+    a daemon's level serves requests whose options differ.  A subclass
+    adds a disk through the ``_load``/``_save`` hooks (and their enforce
+    twins).
     """
 
-    def __init__(self, stats=None, level=None):
-        self.level = ReuseLevel() if level is None else level
-        self.stats = stats
+    def __init__(self, level, options, stats=None):
+        # Imported here: repro.core imports this package.
+        from repro.core.options import options_fingerprint
 
-    def _level_key(self, key):
-        return key
+        self.level = level
+        self.options = options
+        self.stats = stats
+        self._fingerprint = options_fingerprint(options)
 
     def _load(self, key):
         """A level miss's payload from the lower level, or None."""
@@ -233,7 +245,7 @@ class AbstractionReuse:
     # -- statements -------------------------------------------------------------
 
     def fetch(self, key):
-        level_key = self._level_key(key)
+        level_key = (self._fingerprint, key)
         payload = self.level.statements.get(level_key)
         if payload is not None:
             self.level.hits += 1
@@ -260,7 +272,7 @@ class AbstractionReuse:
             "temp_meanings": list(temp_meanings),
             "c2bp": dict(c2bp_counters),
         }
-        self.level.statements[self._level_key(key)] = payload
+        self.level.statements[(self._fingerprint, key)] = payload
         self._save(key, payload)
 
     # -- enforce invariants -----------------------------------------------------
@@ -268,7 +280,7 @@ class AbstractionReuse:
     def fetch_enforce(self, key):
         """``(hit, enforce)`` — a hit's enforce can legitimately be None
         (no inconsistent cubes), so presence must be reported separately."""
-        level_key = self._level_key(key)
+        level_key = (self._fingerprint, key)
         if level_key in self.level.enforce:
             self.level.hits += 1
             return True, self.level.enforce[level_key]
@@ -278,5 +290,5 @@ class AbstractionReuse:
         return hit, enforce
 
     def store_enforce(self, key, enforce):
-        self.level.enforce[self._level_key(key)] = enforce
+        self.level.enforce[(self._fingerprint, key)] = enforce
         self._save_enforce(key, enforce)

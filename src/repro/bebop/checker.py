@@ -19,8 +19,8 @@ Every statement/edge is compiled once into a cached transfer relation
 (constraint BDD + quantified variable set + rename map), applied with the
 manager's fused ``and_exists`` relational product; the worklist propagates
 *frontiers* (only states not seen before flow through transfers).
-Compiled procedures can be reused across CEGAR iterations via
-:class:`repro.bebop.reuse.BebopReuse`.  The independent reference the
+Every run compiles into a :class:`repro.bebop.reuse.BebopReuse`, which a
+CEGAR loop carries across iterations.  The independent reference the
 fuzz oracle and the differential tests compare against is the
 explicit-state engine (:func:`repro.bebop.explicit.explicit_divergence`).
 """
@@ -29,8 +29,8 @@ import hashlib
 
 from repro.boolprog import ast as B
 from repro.boolprog.printer import print_bool_body, print_bool_expr
-from repro.bdd import BddManager
 from repro.bebop.graph import BRANCH, ENTRY, EXIT, build_bool_graph
+from repro.bebop.reuse import BebopReuse
 
 _EMPTY = frozenset()
 
@@ -310,10 +310,10 @@ class BebopResult:
 class Bebop:
     """One model-checking run over a boolean program.
 
-    ``reuse`` accepts a :class:`repro.bebop.reuse.BebopReuse` carrying a
-    persistent manager, slot table, and compiled-transfer cache across
-    runs; without one the run is fresh (its own manager, every table
-    compiled or loaded from the store).
+    ``reuse`` is a :class:`repro.bebop.reuse.BebopReuse` carrying a
+    manager, slot table, and compiled-transfer cache across runs; without
+    one the run makes a fresh one (its own manager, every table compiled
+    or loaded from the store).
     """
 
     def __init__(self, program, main="main", context=None, reuse=None):
@@ -322,21 +322,19 @@ class Bebop:
         self.program = program
         self.main = main
         self.context = context
-        self.reuse = reuse
-        if reuse is not None:
-            self.manager = reuse.manager
-            self._slots = reuse.slots
-        else:
-            self.manager = BddManager()
-            self._slots = {}
+        self.reuse = reuse or BebopReuse()
+        self.manager = self.reuse.manager
+        self._slots = self.reuse.slots
         # Disk-backed compiled-table persistence off the context's store:
-        # fingerprint misses try the store before compiling, and fresh
-        # compilations are saved for later runs and processes.
+        # fingerprint misses try the store (through its reuse level)
+        # before compiling, and fresh compilations are saved.
         self._table_store = None
         if getattr(context, "store", None) is not None:
             from repro.serve import BebopTableStore
 
-            self._table_store = BebopTableStore(context.store)
+            self._table_store = BebopTableStore(
+                context.store, context.reuse_level
+            )
         self.tables_loaded = 0
         self.tables_saved = 0
         self.graphs = {
@@ -536,12 +534,11 @@ class Bebop:
         compiled = {}
         for name, proc in self.program.procedures.items():
             fingerprint = procedure_fingerprint(self.program, proc)
-            if self.reuse is not None:
-                cached = self.reuse.compiled.get(name)
-                if cached is not None and cached.fingerprint == fingerprint:
-                    compiled[name] = cached
-                    self.transfers_reused += len(cached.transfers)
-                    continue
+            cached = self.reuse.compiled.get(name)
+            if cached is not None and cached.fingerprint == fingerprint:
+                compiled[name] = cached
+                self.transfers_reused += len(cached.transfers)
+                continue
             table = None
             if self._table_store is not None:
                 table = self._table_store.load(self, name, fingerprint)
@@ -555,15 +552,13 @@ class Bebop:
                     self._table_store.save(self, name, table)
                     self.tables_saved += 1
             compiled[name] = table
-            if self.reuse is not None:
-                self.reuse.compiled[name] = table
-        if self.reuse is not None:
-            for name in list(self.reuse.compiled):
-                if name not in self.program.procedures:
-                    del self.reuse.compiled[name]
-            self.reuse.transfers_compiled += self.transfers_compiled
-            self.reuse.transfers_reused += self.transfers_reused
-            self.reuse.tables_loaded += self.tables_loaded
+            self.reuse.compiled[name] = table
+        for name in list(self.reuse.compiled):
+            if name not in self.program.procedures:
+                del self.reuse.compiled[name]
+        self.reuse.transfers_compiled += self.transfers_compiled
+        self.reuse.transfers_reused += self.transfers_reused
+        self.reuse.tables_loaded += self.tables_loaded
         # Call sites are static under compilation: register them all up
         # front so summary growth can re-trigger them.
         for name, table in compiled.items():

@@ -198,7 +198,7 @@ def _write_instrumentation(args, context):
 
 def _program(context, source, name):
     """The lowered program and its facts (memoized on the context's
-    store, when it has one: read-only from here on)."""
+    reuse level: read-only from here on)."""
     return memoized_program(
         context, source, lambda: parse_c_program(source, name=name), "c", name
     )

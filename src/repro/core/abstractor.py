@@ -20,10 +20,10 @@ Each top-level statement is translated on its own, in its own
 call-site temporary namespace; a procedure's parts are then assembled
 with one first-use renumbering of those temporaries to ``__r<N>``.  A
 statement's translation depends only on the inputs its cache key
-covers (:meth:`repro.analysis.ProgramAnalyses.statement_key`), so when a
-CEGAR loop hands in a reuse cache, or a persistent store is configured,
-statements whose key is unchanged are fetched instead of re-translated
-— the output is byte-identical either way.
+covers (:meth:`repro.analysis.ProgramAnalyses.statement_key`), so every
+run fetches the statements whose key its engine context's reuse cache
+already holds, and translates only the rest; the output is
+byte-identical either way.
 """
 
 from repro.cfront import cast as C
@@ -57,7 +57,7 @@ def _has_constant_deref(expr):
 class C2bp:
     """One abstraction run: ``BP(P, E)`` plus statistics."""
 
-    def __init__(self, program, predicates, facts=None, context=None, reuse=None):
+    def __init__(self, program, predicates, facts=None, context=None):
         self.context = context if context is not None else EngineContext()
         self.program = program
         self.predicates = predicates
@@ -72,20 +72,8 @@ class C2bp:
         self.signatures, self.analysis = self.facts.abstraction_inputs(
             predicates, self.options, ensure_analysis_stats(self.context)
         )
-        # Cross-iteration statement-abstraction cache (CEGAR hands one
-        # in); without one every statement is translated afresh.
-        self.reuse = reuse
-        if self.reuse is None and self.context.store is not None:
-            # A persistent store is configured: even a one-shot run reads
-            # and populates the cross-run statement cache (the warm-run
-            # fast path).  Imported lazily — repro.serve sits above core.
-            from repro.serve import PersistentAbstractionReuse
-
-            self.reuse = PersistentAbstractionReuse(
-                self.context.store,
-                self.options,
-                stats=ensure_analysis_stats(self.context),
-            )
+        # The statement cache over the context's reuse level.
+        self.reuse = self.context.abstraction_reuse
         self.search = CubeSearch(
             self.prover,
             self.options,
@@ -94,21 +82,9 @@ class C2bp:
         )
         self.stats = C2bpStats()
         self.context.stats.register("c2bp", self.stats)
-        self._keysets = {}  # predicate name -> canonical location keyset
         # (procedure name, temp name) -> meaning expression E(t) for the
         # call-site temporaries of Section 4.5.3 (used by trace replay).
         self.temp_meanings = {}
-
-    def predicate_keyset(self, predicate):
-        """The canonical location keyset of a cone candidate, computed
-        once per distinct expression.  Keyed by expression identity, not
-        candidate name: call-site temporaries reuse names like ``__r0``
-        across procedures while standing for different meanings."""
-        entry = self._keysets.get(id(predicate.expr))
-        if entry is None:
-            entry = (predicate.expr, location_keyset(predicate.expr))
-            self._keysets[id(predicate.expr)] = entry
-        return entry[1]
 
     def run(self):
         """Build and return the boolean program ``BP(P, E)``."""
@@ -177,8 +153,6 @@ class C2bp:
         scope = self.predicates.in_scope(func_name)
         if not (self.options.compute_enforce and scope):
             return None
-        if self.reuse is None:
-            return self.search.enforce_expr(scope)
         key = self.analysis.enforce_key(func_name)
         hit, enforce = self.reuse.fetch_enforce(key)
         if not hit:
@@ -188,10 +162,8 @@ class C2bp:
 
     def _statement_part(self, func, index, stmt):
         """One top-level statement's translated part: from the reuse
-        cache when one is attached and its key is unchanged, else freshly
-        translated (and then cached)."""
-        if self.reuse is None:
-            return self._translate_statement(func, index, stmt)
+        cache when its key is unchanged, else freshly translated (and
+        then cached)."""
         key = self.analysis.statement_key(func, index, stmt)
         part = self.reuse.fetch(key)
         if part is None:
@@ -258,7 +230,6 @@ class _ProcedureAbstractor:
         # Scope = E_G followed by E_R (order is stable for output).
         self.scope_predicates = parent.predicates.in_scope(func.name)
         self._may_alias = parent.analysis.may_alias(func.name)
-        self._toucher = parent.analysis.toucher(func.name)
         # Liveness is solved before any of the procedure's statements.
         self._liveness = parent.analysis.liveness(func.name)
         self._temp_counter = 0
@@ -307,28 +278,9 @@ class _ProcedureAbstractor:
     def _cone(self, candidates, phi):
         if not self.parent.options.cone_of_influence:
             return list(candidates)
-        # Canonical-text keysets plus the memoized TouchOracle replace the
-        # old pairwise location loop: text equality decides the common
-        # case without any alias query, and each distinct location pair is
-        # asked of the points-to oracle at most once per procedure.
-        relevant = dict(location_keyset(phi))
-        chosen = set()
-        remaining = list(candidates)
-        changed = True
-        while changed:
-            changed = False
-            still_remaining = []
-            for candidate in remaining:
-                keyset = self.parent.predicate_keyset(candidate)
-                if self._toucher.touch(keyset, relevant):
-                    chosen.add(id(candidate))
-                    relevant.update(keyset)
-                    changed = True
-                else:
-                    still_remaining.append(candidate)
-            remaining = still_remaining
-        # Preserve the original candidate order for deterministic output.
-        return [c for c in candidates if id(c) in chosen]
+        return self.parent.analysis.cone(
+            self.func.name, candidates, location_keyset(phi)
+        )
 
     # -- statement translation ---------------------------------------------------
 

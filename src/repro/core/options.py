@@ -11,6 +11,8 @@ the tests when they build the objects.
 """
 
 import dataclasses
+import functools
+import hashlib
 
 
 #: The :class:`C2bpOptions` fields a statement's translation (and its
@@ -40,6 +42,22 @@ SEMANTIC_OPTION_FIELDS = (
     "live_predicates",
     "intervals",
 )
+
+
+def options_fingerprint(options):
+    """A short digest of the :data:`SEMANTIC_OPTION_FIELDS` values: equal
+    exactly for configurations whose translations may share cache
+    entries.  Computed once per distinct tuple of values."""
+    values = tuple(getattr(options, name) for name in SEMANTIC_OPTION_FIELDS)
+    return _fingerprint(values, tuple(map(type, values)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint(values, types):
+    # ``types`` only splits the memo: ``True == 1``, but the two digest
+    # differently.
+    parts = tuple(zip(SEMANTIC_OPTION_FIELDS, values))
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclasses.dataclass

@@ -9,7 +9,9 @@ every layer boundary:
   Newton, and every CEGAR iteration reuse each other's answers;
 - a structured :class:`repro.engine.events.EventBus`;
 - a :class:`repro.engine.stats.StatsRegistry` subsuming the per-layer
-  stats objects behind one ``snapshot()``/``to_json()`` surface.
+  stats objects behind one ``snapshot()``/``to_json()`` surface;
+- the warm :class:`repro.analysis.reuse.ReuseLevel` every run under it
+  reuses work through, with any persistent store as a tier below.
 
 Construct one context per verification task and pass it down::
 
@@ -37,7 +39,9 @@ from repro.prover import Prover, QueryCache
 class EngineContext:
     """Options + prover backend + event sink + unified stats registry."""
 
-    def __init__(self, options=None, backend=None, cache=None, store=None):
+    def __init__(
+        self, options=None, backend=None, cache=None, store=None, reuse_level=None
+    ):
         if options is None:
             # Imported lazily: repro.core.abstractor imports this package,
             # so a module-level import would cycle when repro.engine is
@@ -49,14 +53,11 @@ class EngineContext:
         self.events = EventBus()
         self.stats = StatsRegistry()
         # The content-addressed persistent store (repro.serve): adopted
-        # from the caller, inherited from a store-backed cache, or opened
-        # from options.cache_dir.  An owned store is this context's to
+        # from the caller or opened from options.cache_dir.  An owned store is this context's to
         # report on; the store itself holds no buffered state to flush.
         self._owned_store = False
         if store is not None:
             self.store = store
-        elif cache is not None and getattr(cache, "disk", None) is not None:
-            self.store = cache.disk
         elif options.cache_dir:
             # Imported lazily: repro.serve imports the prover layer.
             from repro.serve import PersistentStore
@@ -81,11 +82,37 @@ class EngineContext:
             backend=backend,
             events=self.events,
         )
+        # The warm level: the caller's (a daemon's), else the store's,
+        # else this context's own.  Imported lazily, like C2bpOptions.
+        if reuse_level is None:
+            from repro.analysis.reuse import ReuseLevel
+
+            reuse_level = (
+                self.store.reuse_level if self.store is not None else ReuseLevel()
+            )
+        self.reuse_level = reuse_level
+        self._abstraction_reuse = None
         self.stats.register("prover", self.prover.stats)
         self.stats.register("prover_cache", self.cache)
         self.stats.register("events", self.events)
         if self.store is not None:
             self.stats.register("persistent_cache", self.store.snapshot)
+
+    @property
+    def abstraction_reuse(self):
+        """The statement/enforce cache every C2bp run under this context
+        translates through: over :attr:`reuse_level`, then the store's
+        disk when there is a store.  Built on first use."""
+        if self._abstraction_reuse is None:
+            from repro.analysis import AbstractionReuse, ensure_analysis_stats
+            from repro.serve import PersistentAbstractionReuse
+
+            args = (self.reuse_level, self.options, ensure_analysis_stats(self))
+            self._abstraction_reuse = (
+                AbstractionReuse(*args) if self.store is None
+                else PersistentAbstractionReuse(self.store, *args)
+            )
+        return self._abstraction_reuse
 
     def close(self):
         """Release long-lived resources (an owned store); idempotent.

@@ -3,17 +3,17 @@ daemon.
 
 The in-process reuse machinery — the canonical-form prover query cache
 (:mod:`repro.prover.cache`), the fingerprint-keyed Bebop compiled-transfer
-tables (:mod:`repro.bebop.reuse`), and the mod/ref-keyed statement
-abstraction cache (:mod:`repro.analysis.reuse`) — dies with the process.
-This package makes all three content-addressed and disk-backed, turning
-per-iteration reuse into cross-run and cross-client reuse:
+tables (:mod:`repro.bebop.reuse`), and the reuse level with its
+mod/ref-keyed statement abstraction cache (:mod:`repro.analysis.reuse`)
+— dies with the process.  This package puts a content-addressed disk
+tier under all three, turning per-run reuse into cross-run reuse, and
+serves them to many clients from one process:
 
 - :mod:`repro.serve.store` — the content-addressed disk store (SHA-256
   keys, sharded directories, atomic renames, versioned checksummed
   records, LRU size cap);
 - :mod:`repro.serve.keys` — canonical key texts (alpha-normalized
-  temporaries, order-insensitive antecedents) and the semantic options
-  fingerprint;
+  temporaries, order-insensitive antecedents);
 - :mod:`repro.serve.provercache` / :mod:`repro.serve.abscache` /
   :mod:`repro.serve.bebopcache` — store-backed drop-ins for the three
   in-memory caches;

@@ -5,16 +5,17 @@ re-verification fetches every unchanged top-level statement's translated
 parts (and every procedure's enforce invariant) from disk and runs zero
 cube searches for them.
 
-The in-memory level above the disk is the one on the
-:class:`~repro.serve.store.PersistentStore` object, so it lasts as long as
-the store does: in the ``repro serve`` daemon that is every request, not
-one CEGAR loop, and a repeated statement is read from disk and decoded
-once.  The level is keyed by ``(options fingerprint, statement key)``.
-Statement keys are nested tuples of strings and ints, equal exactly when
-their ``repr``s are, so a level key is equal exactly when the disk key
-text (the fingerprint plus that ``repr``) is, and ablation configurations
-that can legitimately translate differently share entries in neither
-level.  The daemon's ``flush`` empties the level.
+This class adds only the disk: an engine context with a store builds it
+over the context's reuse level, as it builds a plain
+:class:`~repro.analysis.reuse.AbstractionReuse` without one.  A level
+miss reads the record, and the level keeps the decoded payload, so in
+the ``repro serve`` daemon (whose level serves every request) a repeated
+statement is read from disk and decoded once.  The level key is
+``(options fingerprint, statement key)``; statement keys are nested
+tuples of strings and ints, equal exactly when their ``repr``s are, so a
+level key is equal exactly when the disk key text (the fingerprint plus
+that ``repr``) is, and ablation configurations that can legitimately
+translate differently share entries in neither level.
 
 Byte identity is inherited from the reuse assembly path: cached parts are
 produced with per-statement temp prefixes and merged with the pinned
@@ -24,23 +25,15 @@ the line).
 """
 
 from repro.analysis.reuse import AbstractionReuse
-from repro.serve.keys import (
-    enforce_store_key,
-    options_fingerprint,
-    statement_store_key,
-)
+from repro.serve.keys import enforce_store_key, statement_store_key
 
 
 class PersistentAbstractionReuse(AbstractionReuse):
-    """Statement/enforce reuse through the store's level, then its disk."""
+    """Statement/enforce reuse through the level, then the store's disk."""
 
-    def __init__(self, disk, options, stats=None):
-        super().__init__(stats=stats, level=disk.reuse_level)
+    def __init__(self, disk, level, options, stats=None):
+        super().__init__(level, options, stats=stats)
         self.disk = disk
-        self.options = options
-
-    def _level_key(self, key):
-        return (options_fingerprint(self.options), key)
 
     def _load(self, key):
         hit, stored = self.disk.get(statement_store_key(key, self.options))

@@ -210,17 +210,24 @@ def deserialize_table(checker, data):
 
 
 class BebopTableStore:
-    """Load/save compiled procedure tables from/to a persistent store."""
+    """Load/save compiled procedure tables from/to a persistent store,
+    through a reuse level that keeps every record read or written here
+    (decoded, read-only), so a repeat check reads no disk record."""
 
-    def __init__(self, disk):
+    def __init__(self, disk, level):
         self.disk = disk
-        self.tables_loaded = 0
-        self.tables_saved = 0
+        self.level = level
 
     def load(self, checker, proc_name, fingerprint):
-        hit, data = self.disk.get(bebop_store_key(proc_name, fingerprint))
-        if not hit:
-            return None
+        key = bebop_store_key(proc_name, fingerprint)
+        data = self.level.tables.get(key)
+        if data is not None:
+            self.level.hits += 1
+        else:
+            hit, data = self.disk.get(key)
+            if not hit:
+                return None
+            self.level.tables[key] = data
         if data.get("fingerprint") != fingerprint:
             return None
         try:
@@ -230,18 +237,10 @@ class BebopTableStore:
             # an incompatible build — must degrade to a recompile, never
             # a crash.
             return None
-        self.tables_loaded += 1
         return table
 
     def save(self, checker, proc_name, table):
-        self.disk.put(
-            bebop_store_key(proc_name, table.fingerprint),
-            serialize_table(checker, table),
-        )
-        self.tables_saved += 1
-
-    def snapshot(self):
-        return {
-            "tables_loaded": self.tables_loaded,
-            "tables_saved": self.tables_saved,
-        }
+        key = bebop_store_key(proc_name, table.fingerprint)
+        data = serialize_table(checker, table)
+        self.level.tables[key] = data
+        self.disk.put(key, data)

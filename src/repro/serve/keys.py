@@ -27,13 +27,11 @@ identical antecedents differing just in temp identity may order either
 way across processes, causing a spurious miss, never a wrong hit.
 """
 
-import functools
-import hashlib
 import re
 
 from repro.cfront.exprutils import fold_constants
 from repro.cfront.pretty import pretty_expr
-from repro.core.options import SEMANTIC_OPTION_FIELDS
+from repro.core.options import options_fingerprint
 
 #: Bump when any record layout or key scheme changes: old entries then
 #: simply stop matching (a cold run repopulates the store).
@@ -110,21 +108,6 @@ def query_store_key(key):
     """
     kind, exprs, consequent = key
     return _digest_text("prover", canonical_query_text(kind, exprs, consequent))
-
-
-def options_fingerprint(options):
-    """A short digest of the semantically relevant option fields, computed
-    once per distinct tuple of values."""
-    values = tuple(getattr(options, name) for name in SEMANTIC_OPTION_FIELDS)
-    return _fingerprint(values, tuple(map(type, values)))
-
-
-@functools.lru_cache(maxsize=64)
-def _fingerprint(values, types):
-    # ``types`` only splits the memo: ``True == 1``, but the two digest
-    # differently.
-    parts = tuple(zip(SEMANTIC_OPTION_FIELDS, values))
-    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
 
 def statement_store_key(stmt_key, options):

@@ -1,8 +1,9 @@
 """The ``repro serve`` daemon: verification as a service.
 
 One long-lived process holds the expensive state every one-shot CLI run
-rebuilds from scratch — the warm in-memory prover cache and, with
-``--cache-dir``, the content-addressed :class:`PersistentStore` — and
+rebuilds from scratch — the warm in-memory prover cache, the reuse level
+(:class:`repro.analysis.reuse.ReuseLevel`) and, with ``--cache-dir``, the
+content-addressed :class:`PersistentStore` under that level — and
 answers ``abstract``/``check``/``slam`` requests over a unix socket
 (optionally also TCP).  Requests arrive as length-prefixed JSON frames
 (:mod:`repro.serve.protocol`); a frame holding a JSON list is a batch
@@ -16,22 +17,23 @@ run, warm caches aside.  Compute is serialized through a single worker
 thread: concurrent clients multiplex on the event loop (connects, frame
 parsing, control ops stay responsive) while verification jobs queue.
 
-The warm state -- the prover cache, the store's statement level, its
-memo of lowered programs with their analyses and its memo of Bebop's
-answers -- outlives every request, so after each compute request the
+The warm state -- the prover cache and the reuse level, with its
+statement parts, its memo of lowered programs with their analyses and
+its memo of Bebop's answers -- outlives every request, with or without
+a store, so after each compute request the
 daemon collects the request's garbage and freezes what survives
 (:func:`gc.freeze`): later full collections scan only the objects
 younger than that, not the whole warm heap.
 This module alone decides when to thaw (:func:`gc.unfreeze`): ``flush``
 thaws before it drops the warm state, so the next request's collection
-reclaims it, and a request during which the store's reuse level counted
+reclaims it, and a request during which the reuse level counted
 an eviction (a program, or a memoized program's per-predicate-set
 analyses) thaws before its own collection.
 
 Control ops: ``ping``, ``stats`` (server counters, per-op compute times,
-the compute-queue depth, cache snapshots, collector state), ``flush``
-(drop the warm in-memory caches -- the prover cache and the store's
-statement/enforce/program/Bebop-answer level -- and keep the disk
+the compute-queue depth, cache and reuse-level snapshots, collector
+state), ``flush`` (drop the warm in-memory caches -- the prover cache and
+the statement/enforce/program/Bebop-answer level -- and keep the disk
 store), and
 ``shutdown`` (reply, then exit cleanly).
 """
@@ -57,7 +59,7 @@ from repro.serve.protocol import (
 _CONTROL_OPS = ("ping", "stats", "flush", "shutdown")
 
 #: Ops that run a verification pipeline (on the compute thread).
-_COMPUTE_OPS = ("abstract", "c2bp", "check", "slam")
+_COMPUTE_OPS = ("abstract", "check", "slam")
 
 
 def _error(op, message):
@@ -78,6 +80,12 @@ class ReproServer:
             from repro.serve.store import PersistentStore
 
             self.store = PersistentStore(cache_dir, max_bytes=cache_max_bytes)
+        # One reuse level for every request, the store's if there is one.
+        from repro.analysis.reuse import ReuseLevel
+
+        self.reuse_level = (
+            self.store.reuse_level if self.store is not None else ReuseLevel()
+        )
         self.cache = self._fresh_cache()
         self.requests = 0
         self.op_counts = {}
@@ -144,6 +152,7 @@ class ReproServer:
             "queue": {"depth": self.queue_depth, "peak": self.queue_peak},
             "flushes": self.flushes,
             "prover_cache": self.cache.snapshot(),
+            "reuse_level": self.reuse_level.snapshot(),
             "persistent_cache": (
                 self.store.snapshot() if self.store is not None else None
             ),
@@ -163,8 +172,7 @@ class ReproServer:
         gc.unfreeze()
         dropped = self.cache.snapshot().get("entries", 0)
         self.cache = self._fresh_cache()
-        if self.store is not None:
-            dropped += self.store.reuse_level.clear()
+        dropped += self.reuse_level.clear()
         self.flushes += 1
         return {"ok": True, "op": "flush", "entries_dropped": dropped}
 
@@ -191,14 +199,10 @@ class ReproServer:
         options.cache_max_bytes = None
         return options
 
-    def _memo_evictions(self):
-        store = self.store
-        return store.reuse_level.program_evictions if store is not None else 0
-
     def _run_job(self, request):
         op = request["op"]
         started = time.perf_counter()
-        evictions = self._memo_evictions()
+        evictions = self.reuse_level.program_evictions
         try:
             return self._run_job_inner(op, request)
         except Exception as exc:  # a bad program must not kill the daemon
@@ -208,7 +212,7 @@ class ReproServer:
             # frozen warm heap that later collections skip.  Memo entries
             # evicted during the request may sit in that heap, so thaw it
             # first and this collection reclaims them too.
-            if self._memo_evictions() != evictions:
+            if self.reuse_level.program_evictions != evictions:
                 gc.unfreeze()
             gc.collect()
             gc.freeze()
@@ -231,10 +235,13 @@ class ReproServer:
 
         options = self._request_options(request.get("options"))
         out = io.StringIO()
-        context = EngineContext(options=options, cache=self.cache)
+        context = EngineContext(
+            options=options, cache=self.cache, store=self.store,
+            reuse_level=self.reuse_level,
+        )
         try:
             name = request.get("name", "<remote>")
-            if op in ("abstract", "c2bp"):
+            if op == "abstract":
                 code = run_abstract(
                     context, request["source"], request["predicates"], out,
                     name=name,

@@ -17,6 +17,11 @@ flipped bit on disk can cost wall-clock but never an answer.
 The store enforces an LRU byte cap (``max_bytes``): record files carry
 their access recency in mtime (touched on hit), and a put that pushes the
 total past the cap evicts oldest-first down to 90% of the cap.
+
+The store is only the tier below the in-memory reuse level
+(:class:`repro.analysis.reuse.ReuseLevel`) of an engine context; it
+keeps one level for the contexts it backs, and :meth:`snapshot` counts
+that level's lookups with its own.
 """
 
 import hashlib
@@ -85,9 +90,10 @@ class PersistentStore:
         self.max_bytes = max_bytes
         self._total_bytes = None  # lazy: scanned on first capped put
         self._namespace_counts = {}  # namespace -> {"hits": n, "misses": n}
-        #: Decoded statement/enforce payloads above the disk
-        #: (:mod:`repro.serve.abscache`), the program memo and Bebop's
-        #: answers, kept for this object's lifetime.
+        #: The level above the disk for a context with this store and no
+        #: level of its caller's: decoded statement/enforce payloads and
+        #: Bebop tables, the program memo and Bebop's answers, kept for
+        #: this object's lifetime.
         self.reuse_level = ReuseLevel()
         for name in self.COUNTER_FIELDS:
             setattr(self, name, 0)

@@ -19,7 +19,6 @@ reuse shows up in ``--stats-json`` output.
 import time
 
 from repro.analysis import (
-    AbstractionReuse,
     ProgramFacts,
     eliminate_dead_variables,
     ensure_analysis_stats,
@@ -38,9 +37,9 @@ class IterationStats:
 
     ``prover_calls``/``prover_queries``/``cache_hits`` are deltas for this
     iteration only (C2bp plus Newton), not running totals.
-    ``bebop_answers_reused`` is 1 when the store's memo answered the
-    iteration's reachability question and Bebop did not run (its
-    transfer counters are then 0).
+    ``bebop_answers_reused`` is 1 when the reuse level's answer memo
+    answered the iteration's reachability question and Bebop did not run
+    (its transfer counters are then 0).
     """
 
     __slots__ = (
@@ -249,21 +248,10 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
     # --cache-dir store, Bebop loads tables compiled by earlier runs).
     reuse = BebopReuse()
     ctx.stats.register("bebop_loop", reuse.snapshot)
-    # Cross-iteration statement-abstraction cache, and Bebop's answers by
-    # reachability key on the store's reuse level (a daemon meets the
-    # same checked program again; a store-less loop never does, so it
-    # keeps no memo).
+    # C2bp reuses statements through the context's reuse level; Bebop's
+    # answers by reachability key sit on the same level (a daemon meets
+    # the same checked program again).
     analysis_stats = ensure_analysis_stats(ctx)
-    answers = None
-    if ctx.store is not None:
-        from repro.serve import PersistentAbstractionReuse
-
-        answers = ctx.store.reuse_level
-        abstraction_reuse = PersistentAbstractionReuse(
-            ctx.store, ctx.options, stats=analysis_stats
-        )
-    else:
-        abstraction_reuse = AbstractionReuse(stats=analysis_stats)
     started = time.perf_counter()
     stats = []
     iteration_log = IterationLog()
@@ -279,10 +267,7 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
         analysis_before = analysis_stats.snapshot()
         # Only the predicate set changes between iterations: points-to,
         # CFGs and mod/ref come from the loop's one ProgramFacts.
-        tool = C2bp(
-            program, predicates, context=ctx, reuse=abstraction_reuse,
-            facts=facts,
-        )
+        tool = C2bp(program, predicates, context=ctx, facts=facts)
         boolean_program = tool.run()
         # Model-check the DCE'd program; the result object carries the
         # full translation (its label invariants name every predicate).
@@ -291,15 +276,13 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx, facts):
             checked_program, _ = eliminate_dead_variables(
                 boolean_program, stats=analysis_stats
             )
-        bebop = error_reached = None
-        if answers is not None:
-            answer_key = reachability_key(checked_program, main)
-            error_reached = answers.answer(answer_key)
+        bebop = None
+        answer_key = reachability_key(checked_program, main)
+        error_reached = ctx.reuse_level.answer(answer_key)
         if error_reached is None:
             bebop = Bebop(checked_program, main=main, context=ctx, reuse=reuse)
             error_reached = bebop.run().error_reached
-            if answers is not None:
-                answers.record_answer(answer_key, error_reached)
+            ctx.reuse_level.record_answer(answer_key, error_reached)
         if not error_reached:
             result = CegarResult("safe", iteration, predicates,
                                  boolean_program=boolean_program)

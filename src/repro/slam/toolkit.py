@@ -4,6 +4,7 @@ from repro.analysis import memoized_program
 from repro.cfront import parse_c_program
 from repro.cfront.pretty import pretty_stmt
 from repro.core import PredicateSet, Predicate
+from repro.engine import EngineContext
 from repro.cfront import cast as C
 from repro.slam.cegar import cegar_loop
 from repro.slam.instrument import STATE_VAR, instrument_program
@@ -70,13 +71,16 @@ class SlamToolkit:
         context=None,
     ):
         # Instrumentation mutates, so each check instruments a parse of
-        # its own -- unless the context's store already holds this text
-        # instrumented for this (entry, spec): a warm daemon then hands
-        # back that program and its facts, shared and read-only.
+        # its own -- unless the context's reuse level already holds this
+        # text instrumented for this (entry, spec): a warm daemon then
+        # hands back that program and its facts, shared and read-only.
         def build():
             program = parse_c_program(self.source, name=self.name)
             return instrument_program(program, spec, entry=entry)
 
+        # A private context has default options, so it opens no store
+        # and needs no close.
+        context = context if context is not None else EngineContext()
         program, facts = memoized_program(
             context, self.source, build,
             "slam", self.name, entry, spec.fingerprint(),

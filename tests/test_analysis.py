@@ -463,8 +463,9 @@ def test_cegar_final_program_matches_one_shot_abstraction(monkeypatch):
     one_shot = C2bp(
         loop_tool.program, loop_tool.predicates, context=EngineContext()
     )
-    assert one_shot.reuse is None
     one_shot_bp = one_shot.run()
+    # A fresh context's level is empty: every statement was translated.
+    assert one_shot.context.analysis_stats.c2bp_stmts_reused == 0
     assert print_bool_program(one_shot_bp) == print_bool_program(loop_bp)
     assert one_shot.temp_meanings == loop_tool.temp_meanings
 

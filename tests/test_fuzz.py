@@ -104,3 +104,34 @@ def test_fuzzer_finds_and_shrinks_injected_soundness_bug(monkeypatch):
     # The shrunk program keeps the essential shape: a call binding a
     # return value into the global.
     assert "g = helper(" in shrunk.case.source
+
+
+def test_oracle_reference_abstractions_translate_every_statement(monkeypatch):
+    """The strengthen and theory differentials each abstract under a fresh
+    engine context, so no reuse-level hit can stand in for the reference
+    engine: both reference runs translate every statement themselves."""
+    references = []
+    abstract = SoundnessOracle._abstract
+
+    def recording(self, facts, predicates, options, store=None,
+                  strategy=None, backend=None):
+        tool, boolean_program = abstract(
+            self, facts, predicates, options, store=store,
+            strategy=strategy, backend=backend,
+        )
+        if strategy is not None or backend is not None:
+            references.append(tool)
+        return tool, boolean_program
+
+    monkeypatch.setattr(SoundnessOracle, "_abstract", recording)
+    oracle = SoundnessOracle()
+    generator = ProgramGenerator("reference")
+    for index in range(3):
+        report = oracle.check(generator.generate(index))
+        assert report.ok, report
+    assert len(references) == 6
+    for tool in references:
+        stats = tool.context.analysis_stats
+        assert stats.c2bp_stmts_reused == 0
+        assert stats.c2bp_stmts_retranslated > 0
+        assert tool.stats.prover_calls > 0

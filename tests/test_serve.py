@@ -233,7 +233,7 @@ def test_smoke_reuse_level_hits_are_private_copies(tmp_path):
     stmt = B.BAssign(["p"], [B.BConst(True)])
     stmt.labels = ["L1"]
     temps, meanings, counters = ["__t0"], [("__t0", None)], {"prover_calls": 3}
-    PersistentAbstractionReuse(store, options).store(
+    PersistentAbstractionReuse(store, store.reuse_level, options).store(
         key, [stmt], temps, meanings, counters
     )
     stmt.labels.append("after-store")
@@ -241,7 +241,8 @@ def test_smoke_reuse_level_hits_are_private_copies(tmp_path):
     counters["prover_calls"] = 0
 
     def fetch():
-        return PersistentAbstractionReuse(store, options).fetch(key)
+        reuse = PersistentAbstractionReuse(store, store.reuse_level, options)
+        return reuse.fetch(key)
 
     first = fetch()
     first["stmts"][0].labels.append("mutated")
@@ -694,3 +695,64 @@ def test_removed_option_fields_are_ignored():
         assert plain["ok"] and old_client["ok"], (plain, old_client)
         assert old_client["output"] == plain["output"]
         assert old_client["exit_code"] == plain["exit_code"]
+
+
+# -- the store-less daemon ---------------------------------------------------
+
+
+def test_storeless_daemon_keeps_its_reuse_level(tmp_path):
+    """A daemon without ``--cache-dir`` still reuses across requests: a
+    resubmitted ``slam`` request hits the program memo and Bebop's answer
+    memo, prints the verdict a ``--cache-dir`` daemon prints, and
+    ``flush`` empties the level.  ``stats`` reports the level either way,
+    and ``persistent_cache`` only with a store."""
+    from repro.serve.server import ReproServer
+
+    request = _slam_request(get_driver("floppy").source)
+    replies = {}
+    for label, cache_dir in (("storeless", None),
+                             ("store", str(tmp_path / "cache"))):
+        server = ReproServer(cache_dir=cache_dir)
+        try:
+            outputs = [server._run_job(request)["output"] for _ in range(3)]
+            stats = server._op_stats({})
+            level = stats["reuse_level"]
+            assert level["program_hits"] > 0, label
+            assert level["bebop_answer_hits"] > 0, label
+            assert level["statements"] > 0, label
+            if cache_dir is None:
+                assert stats["persistent_cache"] is None
+            else:
+                assert stats["persistent_cache"]["reuse_level"] == level
+            flushed = server._op_flush({})
+            assert flushed["entries_dropped"] >= (
+                level["statements"] + level["programs"] + level["bebop_answers"]
+            )
+            level = server._op_stats({})["reuse_level"]
+            assert level["statements"] == level["programs"] == 0
+            assert level["bebop_answers"] == 0
+            replies[label] = outputs
+        finally:
+            server._executor.shutdown()
+    verdicts = {
+        label: {output.splitlines()[0] for output in outputs}
+        for label, outputs in replies.items()
+    }
+    assert verdicts["storeless"] == verdicts["store"]
+    assert len(verdicts["storeless"]) == 1
+    assert replies["storeless"][0] == _storeless_slam(request["source"])
+
+
+def test_c2bp_op_alias_is_unknown():
+    """``abstract`` is the one name of the abstraction op."""
+    import asyncio
+
+    from repro.serve.server import ReproServer
+
+    server = ReproServer()
+    try:
+        reply = asyncio.run(server.respond({"op": "c2bp"}))
+    finally:
+        server._executor.shutdown()
+    assert reply["ok"] is False
+    assert reply["error"] == "unknown op 'c2bp'"

@@ -30,7 +30,7 @@ from repro.serve import (
     statement_store_key,
 )
 from repro.serve.bebopcache import deserialize_table, serialize_table
-from repro.serve.keys import SEMANTIC_OPTION_FIELDS
+from repro.core.options import SEMANTIC_OPTION_FIELDS
 from repro.serve.store import decode_record, encode_record
 from repro.core import C2bpOptions
 from repro.engine import EngineContext
@@ -163,6 +163,32 @@ def test_snapshot_hits_count_reuse_level_lookups(tmp_path):
     first, second = snapshots
     assert second["bytes_read"] == first["bytes_read"]
     assert second["namespaces"] == first["namespaces"]
+    assert second["hits"] > first["hits"]
+
+
+def test_repeat_check_reads_no_bebop_record(tmp_path):
+    """A repeat ``check`` of one text on one store object rebuilds its
+    compiled Bebop tables from the reuse level: the ``bebop`` namespace's
+    disk hits stay where the first run left them."""
+    from repro.cli import run_check
+
+    study = get_program("partition")
+    store = PersistentStore(str(tmp_path))
+    outputs, snapshots = [], []
+    for _ in range(2):
+        out = io.StringIO()
+        with EngineContext(store=store) as context:
+            run_check(
+                context, study.source, study.predicate_text, out,
+                name=study.name, entry=study.entry,
+            )
+        outputs.append(out.getvalue())
+        snapshots.append(store.snapshot())
+    first, second = snapshots
+    assert outputs[0] == outputs[1]
+    assert first["reuse_level"]["bebop_tables"] > 0
+    assert second["namespaces"]["bebop"] == first["namespaces"]["bebop"]
+    assert second["bytes_read"] == first["bytes_read"]
     assert second["hits"] > first["hits"]
 
 
