@@ -59,6 +59,17 @@ SEEN_ONCE_CAPACITY = 1024
 #: a long-lived daemon.
 ANSWER_CAPACITY = 1024
 
+#: Entries each of a reuse level's statement, enforce and Bebop table
+#: memos keeps, least recently used first out.  One round of
+#: ``serve-edit-loop`` (priming plus 500 requests, 200 of them edits)
+#: peaks at 1,711 statement parts, 47 enforce invariants and 79 tables
+#: (seed 0; 1,713 and 1,710 parts at seeds 1 and 2), so the round never
+#: evicts; the bound only caps a long-lived daemon fed distinct edits,
+#: which would otherwise keep every statement part until ``flush``.
+STATEMENT_CAPACITY = 4096
+
+_ABSENT = object()
+
 
 def clone_stmts(stmts):
     """Deep-copy boolean statements (expressions are immutable and
@@ -107,27 +118,61 @@ class ReuseLevel:
     """
 
     def __init__(self):
-        self.statements = {}  # key -> payload
-        self.enforce = {}  # key -> enforce expr (possibly None)
-        self.tables = {}  # store key text -> Bebop table record (read-only)
+        self.statements = collections.OrderedDict()  # key -> payload
+        # key -> enforce expr (possibly None)
+        self.enforce = collections.OrderedDict()
+        # store key text -> Bebop table record (read-only)
+        self.tables = collections.OrderedDict()
         self.hits = 0
         self.programs = collections.OrderedDict()  # key -> (program, facts)
         self._seen_once = collections.OrderedDict()  # key -> True
         self.program_hits = 0
         self.program_misses = 0
         self.program_admissions = 0
-        #: Memo entries dropped so far: programs, and the per-predicate-set
-        #: analyses of memoized programs (:meth:`count_eviction`).  A
-        #: daemon reads it to learn that warm state was let go.
+        #: Memo entries dropped so far: entries of the five memos, and the
+        #: per-predicate-set analyses of memoized programs
+        #: (:meth:`count_eviction`).  A daemon reads it to learn that warm
+        #: state was let go.
         self.program_evictions = 0
         #: Bebop's answers by :func:`repro.bebop.reachability_key`:
         #: whether a failing assert is reachable (:meth:`answer`).
         self.answers = collections.OrderedDict()  # key -> error_reached
         self.answer_hits = 0
         self.answer_misses = 0
-        # A daemon's flush clears both memos from the event loop while the
-        # compute thread may be inside program() or answer().
+        # A daemon's flush clears every memo from the event loop while the
+        # compute thread may be inside a lookup.
         self._memo_lock = threading.Lock()
+
+    # The one LRU routine over the five memos; callers hold the lock.
+
+    def _recall(self, memo, key):
+        """``(hit, entry)``; a hit becomes ``memo``'s most recent entry."""
+        entry = memo.get(key, _ABSENT)
+        if entry is _ABSENT:
+            return False, None
+        memo.move_to_end(key)
+        return True, entry
+
+    def _keep(self, memo, key, entry, capacity):
+        memo[key] = entry
+        memo.move_to_end(key)
+        if len(memo) > capacity:
+            memo.popitem(last=False)
+            self.program_evictions += 1
+
+    def fetch(self, memo, key):
+        """``(hit, entry)`` from the ``"statements"``, ``"enforce"`` or
+        ``"tables"`` memo; a hit counts in ``hits``."""
+        with self._memo_lock:
+            hit, entry = self._recall(getattr(self, memo), key)
+            self.hits += hit
+            return hit, entry
+
+    def keep(self, memo, key, entry):
+        """Store ``entry`` in the ``"statements"``, ``"enforce"`` or
+        ``"tables"`` memo."""
+        with self._memo_lock:
+            self._keep(getattr(self, memo), key, entry, STATEMENT_CAPACITY)
 
     def program(self, key, build):
         """The ``(program, facts)`` entry for ``key``, from the memo or
@@ -135,20 +180,16 @@ class ReuseLevel:
         sighting; the caller must treat an entry as read-only either
         way."""
         with self._memo_lock:
-            entry = self.programs.get(key)
-            if entry is not None:
-                self.programs.move_to_end(key)
+            hit, entry = self._recall(self.programs, key)
+            if hit:
                 self.program_hits += 1
                 return entry
             self.program_misses += 1
         entry = build()
         with self._memo_lock:
             if self._seen_once.pop(key, False):
-                self.programs[key] = entry
                 self.program_admissions += 1
-                if len(self.programs) > PROGRAM_CAPACITY:
-                    self.programs.popitem(last=False)
-                    self.program_evictions += 1
+                self._keep(self.programs, key, entry, PROGRAM_CAPACITY)
             else:
                 self._seen_once[key] = True
                 if len(self._seen_once) > SEEN_ONCE_CAPACITY:
@@ -159,19 +200,16 @@ class ReuseLevel:
         """The memoized ``error_reached`` for a reachability key, or
         None when Bebop has not checked such a program yet."""
         with self._memo_lock:
-            reached = self.answers.get(key)
-            if reached is None:
-                self.answer_misses += 1
-            else:
-                self.answers.move_to_end(key)
+            hit, reached = self._recall(self.answers, key)
+            if hit:
                 self.answer_hits += 1
+            else:
+                self.answer_misses += 1
             return reached
 
     def record_answer(self, key, error_reached):
         with self._memo_lock:
-            self.answers[key] = error_reached
-            if len(self.answers) > ANSWER_CAPACITY:
-                self.answers.popitem(last=False)
+            self._keep(self.answers, key, error_reached, ANSWER_CAPACITY)
 
     def count_eviction(self):
         """Note that a memoized program's facts dropped an entry."""
@@ -246,16 +284,14 @@ class AbstractionReuse:
 
     def fetch(self, key):
         level_key = (self._fingerprint, key)
-        payload = self.level.statements.get(level_key)
-        if payload is not None:
-            self.level.hits += 1
-        else:
+        hit, payload = self.level.fetch("statements", level_key)
+        if not hit:
             payload = self._load(key)
             if payload is None:
                 if self.stats is not None:
                     self.stats.c2bp_stmts_retranslated += 1
                 return None
-            self.level.statements[level_key] = payload
+            self.level.keep("statements", level_key, payload)
         if self.stats is not None:
             self.stats.c2bp_stmts_reused += 1
         return {
@@ -272,7 +308,7 @@ class AbstractionReuse:
             "temp_meanings": list(temp_meanings),
             "c2bp": dict(c2bp_counters),
         }
-        self.level.statements[(self._fingerprint, key)] = payload
+        self.level.keep("statements", (self._fingerprint, key), payload)
         self._save(key, payload)
 
     # -- enforce invariants -----------------------------------------------------
@@ -281,14 +317,14 @@ class AbstractionReuse:
         """``(hit, enforce)`` — a hit's enforce can legitimately be None
         (no inconsistent cubes), so presence must be reported separately."""
         level_key = (self._fingerprint, key)
-        if level_key in self.level.enforce:
-            self.level.hits += 1
-            return True, self.level.enforce[level_key]
+        hit, enforce = self.level.fetch("enforce", level_key)
+        if hit:
+            return True, enforce
         hit, enforce = self._load_enforce(key)
         if hit:
-            self.level.enforce[level_key] = enforce
+            self.level.keep("enforce", level_key, enforce)
         return hit, enforce
 
     def store_enforce(self, key, enforce):
-        self.level.enforce[(self._fingerprint, key)] = enforce
+        self.level.keep("enforce", (self._fingerprint, key), enforce)
         self._save_enforce(key, enforce)

@@ -310,7 +310,7 @@ def run_slam(context, source, spec, out, entry="main", max_iterations=10):
         "verdict: %s (after %d iteration(s), %d predicates)\n"
         % (result.verdict, result.iterations, len(result.predicates))
     )
-    if getattr(result.cegar, "bounded_verdict", None) is not None:
+    if result.cegar.bounded_verdict is not None:
         out.write(
             "bounded verdict: %s (bmc depth %d)\n"
             % (result.cegar.bounded_verdict, result.cegar.bmc_depth)
@@ -320,11 +320,11 @@ def run_slam(context, source, spec, out, entry="main", max_iterations=10):
             "  iteration %d: %d predicates, %d prover calls"
             " (%d of %d queries answered from cache)\n"
             % (
-                record.iteration,
-                record.predicates,
-                record.prover_calls,
-                record.cache_hits,
-                record.prover_queries,
+                record["iteration"],
+                record["predicates"],
+                record["prover_calls"],
+                record["cache_hits"],
+                record["prover_queries"],
             )
         )
     if result.verdict == "unsafe":

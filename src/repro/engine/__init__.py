@@ -19,12 +19,11 @@ takes any object with the members :mod:`repro.prover.interface` lists
 
 from repro.engine.context import EngineContext
 from repro.engine.events import EventBus
-from repro.engine.stats import IterationLog, PhaseAccumulator, StatsRegistry
+from repro.engine.stats import PhaseAccumulator, StatsRegistry
 
 __all__ = [
     "EngineContext",
     "EventBus",
-    "IterationLog",
     "PhaseAccumulator",
     "StatsRegistry",
 ]

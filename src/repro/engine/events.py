@@ -18,7 +18,9 @@ kind                      payload fields (beyond ``kind`` and ``t``)
 ``cube-test``             ``purpose`` ("implicant"|"refute"|"inconsistent"),
                           ``cube_size``, ``result``
 ``c2bp-procedure``        ``procedure``, ``prover_calls``
-``cegar-iteration``       the :class:`repro.slam.cegar.IterationStats` snapshot
+``cegar-iteration``       one iteration record of :func:`repro.slam.cegar_loop`:
+                          ``iteration``, ``predicates``, ``error_reached``,
+                          ``seconds`` and the iteration's counter deltas
 ========================  =====================================================
 
 ``t`` is seconds since the bus was created (wall clock, monotonic).

@@ -49,25 +49,6 @@ class PhaseAccumulator:
         }
 
 
-class IterationLog:
-    """An append-only list of per-iteration stat dicts (the CEGAR loop)."""
-
-    def __init__(self):
-        self.iterations = []
-
-    def append(self, record):
-        self.iterations.append(dict(record))
-
-    def __len__(self):
-        return len(self.iterations)
-
-    def __getitem__(self, index):
-        return self.iterations[index]
-
-    def snapshot(self):
-        return [dict(record) for record in self.iterations]
-
-
 class Timer:
     """Context manager adding elapsed wall-clock time to an attribute."""
 

@@ -220,14 +220,12 @@ class BebopTableStore:
 
     def load(self, checker, proc_name, fingerprint):
         key = bebop_store_key(proc_name, fingerprint)
-        data = self.level.tables.get(key)
-        if data is not None:
-            self.level.hits += 1
-        else:
+        hit, data = self.level.fetch("tables", key)
+        if not hit:
             hit, data = self.disk.get(key)
             if not hit:
                 return None
-            self.level.tables[key] = data
+            self.level.keep("tables", key, data)
         if data.get("fingerprint") != fingerprint:
             return None
         try:
@@ -242,5 +240,5 @@ class BebopTableStore:
     def save(self, checker, proc_name, table):
         key = bebop_store_key(proc_name, table.fingerprint)
         data = serialize_table(checker, table)
-        self.level.tables[key] = data
+        self.level.keep("tables", key, data)
         self.disk.put(key, data)

@@ -3,6 +3,7 @@ cross-iteration reuse) against the explicit-state reference and against
 fresh runs: corpus differentials, transfer-cache reuse, the stats
 plumbing, and the fuzz oracle catching an injected engine bug."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro import (
@@ -202,22 +203,109 @@ def test_cegar_reports_transfer_reuse():
     assert snapshot["bebop"]["bdd"]["ite_calls"] > 0
 
 
-def test_cegar_floppy_irp_verdict_pinned():
-    """The floppy driver's IRP property is unsafe after exactly three
-    CEGAR iterations (Table 1; the paper's in-development driver)."""
-    from repro.programs import all_drivers
+# Table 1 under CEGAR: (driver, property) -> (verdict, iterations,
+# predicates, prover calls); 390 calls over the 16 rows.
+TABLE1_CEGAR = {
+    ("floppy", "lock"): ("safe", 1, 2, 15),
+    ("floppy", "irp"): ("unsafe", 3, 5, 133),
+    ("ioctl", "lock"): ("safe", 1, 2, 15),
+    ("ioctl", "irp"): ("safe", 1, 2, 15),
+    ("openclos", "lock"): ("safe", 1, 2, 15),
+    ("openclos", "irp"): ("safe", 1, 2, 15),
+    ("srdriver", "lock"): ("safe", 1, 2, 15),
+    ("srdriver", "irp"): ("safe", 1, 2, 15),
+    ("log", "lock"): ("safe", 1, 2, 15),
+    ("log", "irp"): ("safe", 1, 2, 15),
+    ("serial", "lock"): ("safe", 1, 2, 23),
+    ("serial", "irp"): ("safe", 1, 2, 23),
+    ("kbfiltr", "lock"): ("safe", 1, 2, 17),
+    ("kbfiltr", "irp"): ("safe", 1, 2, 17),
+    ("toaster", "lock"): ("safe", 1, 2, 21),
+    ("toaster", "irp"): ("safe", 1, 2, 21),
+}
 
-    driver = next(d for d in all_drivers() if d.name == "floppy")
-    spec = SafetySpec.complete_exactly_once("IoCompleteRequest")
+TABLE1_SPECS = {
+    "lock": SafetySpec.lock_discipline("KeAcquireSpinLock", "KeReleaseSpinLock"),
+    "irp": SafetySpec.complete_exactly_once("IoCompleteRequest"),
+}
+
+
+@pytest.mark.parametrize(
+    "driver_name, key", list(TABLE1_CEGAR), ids=lambda value: value
+)
+def test_cegar_floppy_irp_verdict_pinned(driver_name, key):
+    """The CEGAR contract on every Table-1 row: verdict, iterations,
+    predicate count and prover calls.  The floppy driver's IRP property
+    (the paper's in-development driver) is unsafe after exactly three
+    iterations."""
+    from repro.programs import get_driver
+
+    driver = get_driver(driver_name)
     result = check_property(
         driver.source,
-        spec,
+        TABLE1_SPECS[key],
         entry=driver.entry,
         max_iterations=8,
         context=EngineContext(options=C2bpOptions()),
     )
+    assert (
+        result.verdict,
+        result.iterations,
+        len(result.predicates),
+        result.cegar.total_prover_calls,
+    ) == TABLE1_CEGAR[driver_name, key]
+
+
+def _floppy_irp(max_iterations=8):
+    from repro.programs import get_driver
+
+    driver = get_driver("floppy")
+    context = EngineContext()
+    result = check_property(
+        driver.source,
+        TABLE1_SPECS["irp"],
+        entry=driver.entry,
+        max_iterations=max_iterations,
+        context=context,
+    )
+    return result.cegar, context.stats.snapshot()["cegar"]
+
+
+def test_cegar_unknown_names_the_explicit_budget(monkeypatch):
+    """An explicit witness search that runs out of budget is an
+    ``unknown`` that says so, not a silent one."""
+    from repro.slam import cegar as cegar_module
+
+    class TinyExplicitEngine(ExplicitEngine):
+        def __init__(self, program, main="main"):
+            ExplicitEngine.__init__(self, program, main=main, max_configs=1)
+
+    monkeypatch.setattr(cegar_module, "ExplicitEngine", TinyExplicitEngine)
+    result, section = _floppy_irp()
+    assert (result.verdict, result.iterations) == ("unknown", 1)
+    assert result.unknown_reason == section["unknown_reason"] == "explicit_budget"
+
+
+def test_cegar_unknown_names_an_empty_explicit_search(monkeypatch):
+    from repro.slam import cegar as cegar_module
+
+    class EmptyExplicitEngine(ExplicitEngine):
+        def find_assertion_failure(self):
+            return None
+
+    monkeypatch.setattr(cegar_module, "ExplicitEngine", EmptyExplicitEngine)
+    result, section = _floppy_irp()
+    assert result.verdict == "unknown"
+    assert section["unknown_reason"] == "explicit_search_empty"
+
+
+def test_cegar_unknown_names_the_iteration_bound():
+    result, section = _floppy_irp(max_iterations=2)
+    assert (result.verdict, result.iterations) == ("unknown", 2)
+    assert section["unknown_reason"] == "max_iterations"
+    result, section = _floppy_irp()
     assert result.verdict == "unsafe"
-    assert result.iterations == 3
+    assert section["unknown_reason"] is None
 
 
 # -- the oracle catches an injected engine bug -------------------------------------

@@ -380,14 +380,24 @@ def test_every_cegar_unsafe_has_a_concrete_witness():
     """Each ``unsafe`` from CEGAR on the first 120 generated cases must
     come with a BMC witness that fails an assert in the unbounded
     interpreter, except the pinned false alarms, which BMC proves safe.
-    A new false alarm fails this test, and so does a fixed one."""
+    A new false alarm fails this test, and so does a fixed one.  The
+    tally of verdicts, iterations and prover calls is pinned too, and
+    every ``unknown`` is a stall with a bounded verdict."""
     without_witness = set()
+    verdicts = {"safe": 0, "unsafe": 0, "unknown": 0}
+    iterations = prover_calls = 0
     for case in ProgramGenerator(0).cases(120):
         program = parse_c_program(case.source, case.name)
         with EngineContext() as ctx:
             result = cegar_loop(
                 program, main=case.entry, max_iterations=8, context=ctx
             )
+        verdicts[result.verdict] += 1
+        iterations += result.iterations
+        prover_calls += result.total_prover_calls
+        if result.verdict == "unknown":
+            assert result.unknown_reason == "stalled", case.name
+            assert result.bounded_verdict is not None, case.name
         if result.verdict != "unsafe":
             continue
         bounded = run_bmc(program, entry=case.entry, depth=16, width=32)
@@ -399,6 +409,8 @@ def test_every_cegar_unsafe_has_a_concrete_witness():
         assert bounded.verdict == VERDICT_SAFE, case.name
         without_witness.add(case.name)
     assert without_witness == KNOWN_FALSE_ALARMS
+    assert verdicts == {"safe": 84, "unsafe": 30, "unknown": 6}
+    assert (iterations, prover_calls) == (169, 10720)
 
 
 # -- the Table-1 driver corpus ------------------------------------------------------

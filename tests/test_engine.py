@@ -60,13 +60,13 @@ def test_cross_iteration_cache_reuse():
     assert result.verdict == "safe"
     assert len(result.iteration_stats) == 2
     second = result.iteration_stats[1]
-    assert second.cache_hits > 0
+    assert second["cache_hits"] > 0
 
     # Baseline: the same final abstraction built against a fresh prover
     # (no state carried over from iteration 1 or Newton).
     fresh = C2bp(program, result.predicates, context=EngineContext())
     fresh.run()
-    assert second.prover_calls < fresh.stats.prover_calls
+    assert second["prover_calls"] < fresh.stats.prover_calls
 
 
 def test_per_iteration_stats_are_deltas():
@@ -75,14 +75,14 @@ def test_per_iteration_stats_are_deltas():
     result = cegar_loop(
         program, initial_predicates=predicates, main="main", context=context
     )
-    total_calls = sum(s.prover_calls for s in result.iteration_stats)
+    total_calls = sum(s["prover_calls"] for s in result.iteration_stats)
     assert total_calls == result.total_prover_calls
-    assert result.iteration_stats[0].error_reached
-    assert not result.iteration_stats[1].error_reached
-    # The registry's iteration log mirrors the result's records.
-    log = context.stats.section("iterations")
+    assert result.iteration_stats[0]["error_reached"]
+    assert not result.iteration_stats[1]["error_reached"]
+    # The registry's iterations section mirrors the result's records.
+    log = context.stats.snapshot()["iterations"]
     assert len(log) == len(result.iteration_stats)
-    assert log[0]["prover_calls"] == result.iteration_stats[0].prover_calls
+    assert log[0]["prover_calls"] == result.iteration_stats[0]["prover_calls"]
 
 
 def test_stats_registry_json_round_trip():

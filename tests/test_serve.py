@@ -405,6 +405,33 @@ def test_smoke_program_memo_evicts_least_recent(monkeypatch):
     assert level.program_evictions == 1
 
 
+def test_statement_memos_are_bounded_least_recent_first(monkeypatch):
+    """The statement, enforce and Bebop table memos hold at most
+    ``STATEMENT_CAPACITY`` entries each, drop the least recently used
+    one first, count each drop as an eviction, and ``clear`` (a
+    daemon's ``flush``) still empties every memo."""
+    from repro.analysis import reuse
+    from repro.analysis.reuse import ReuseLevel
+
+    monkeypatch.setattr(reuse, "STATEMENT_CAPACITY", 2)
+    level = ReuseLevel()
+    for memo in ("statements", "enforce", "tables"):
+        level.keep(memo, "a", 1)
+        level.keep(memo, "b", 2)
+        assert level.fetch(memo, "a") == (True, 1)  # a is now the most recent
+        level.keep(memo, "c", 3)  # evicts b
+        assert list(getattr(level, memo)) == ["a", "c"]
+        assert level.fetch(memo, "b") == (False, None)
+    assert (level.hits, level.program_evictions) == (3, 3)
+    level.program("p", lambda: ("p", None))
+    level.program("p", lambda: ("p", None))
+    level.record_answer("k", True)
+    assert level.clear() == 2 * 3 + 2
+    snapshot = level.snapshot()
+    for field in ("statements", "enforce", "bebop_tables", "programs", "bebop_answers"):
+        assert snapshot[field] == 0
+
+
 def test_smoke_evicted_memo_entries_are_reclaimed(tmp_path, monkeypatch):
     """A memoized program lives in the frozen warm heap, and so do its
     per-predicate-set analyses.  When a request evicts such an entry (a
@@ -513,14 +540,16 @@ def test_smoke_memoized_programs_are_read_only(tmp_path):
 
 
 def test_program_memo_survives_concurrent_flush(monkeypatch):
-    """``flush`` clears the memo on the event loop while the compute
-    thread is inside ``program()``; neither may see the other half done."""
+    """``flush`` clears the memos on the event loop while the compute
+    thread is inside ``program()`` or a statement lookup; neither may see
+    the other half done."""
     import threading
 
     from repro.analysis import reuse
     from repro.analysis.reuse import ReuseLevel
 
     monkeypatch.setattr(reuse, "PROGRAM_CAPACITY", 2)
+    monkeypatch.setattr(reuse, "STATEMENT_CAPACITY", 2)
     level = ReuseLevel()
     errors = []
     done = threading.Event()
@@ -530,6 +559,8 @@ def test_program_memo_survives_concurrent_flush(monkeypatch):
             for index in range(20000):
                 key = (index + offset) % 5
                 level.program(key, lambda: (key, None))
+                level.keep("statements", key, key)
+                level.fetch("statements", key)
         except Exception as error:  # a lost race
             errors.append(error)
 
@@ -556,6 +587,7 @@ def test_program_memo_survives_concurrent_flush(monkeypatch):
     assert not any(t.is_alive() for t in workers + [flusher])
     assert not errors
     assert len(level.programs) <= 2
+    assert len(level.statements) <= 2
 
 
 # -- Bebop's answer memo -----------------------------------------------------
