@@ -12,15 +12,16 @@ clients (see ``docs/ANALYSIS.md``):
   (pre-prover query discharge and Newton-stall candidate predicates);
 - :mod:`repro.analysis.bpdce` — boolean-program dead-variable
   elimination;
-- :mod:`repro.analysis.reuse` — cross-iteration statement-abstraction
-  cache keyed on the mod/ref closures.
+- :mod:`repro.analysis.reuse` — the procedure- and statement-abstraction
+  cache, with position-free keys that carry the points-to facts they
+  read.
 
 Facts live as long as their inputs do.  :class:`ProgramFacts` holds what
 the lowered program alone determines (points-to, CFGs, mod/ref); one
 serves every C2bp run on that program, so a CEGAR loop builds them once.
 It also memoizes, per predicate set, the signatures and the
-:class:`ProgramAnalyses` (liveness, touch oracles, statement keys) that
-every C2bp run builds.  :func:`memoized_program`
+:class:`ProgramAnalyses` (liveness, touch oracles, procedure and
+statement keys) that every C2bp run builds.  :func:`memoized_program`
 keeps a program and its facts on the engine context's reuse level, so a
 warm daemon builds them once per program text.  :class:`AnalysisStats`
 is shared across a whole engine context (via
@@ -31,7 +32,9 @@ per-iteration deltas.
 import collections
 import hashlib
 
+from repro.cfront import cast as C
 from repro.cfront.cfg import build_program_cfgs
+from repro.cfront.exprutils import variables, walk
 from repro.cfront.pretty import pretty_stmt
 from repro.pointers import PointsToAnalysis
 
@@ -135,6 +138,9 @@ class ProgramFacts:
         self._cfgs = None
         self._modref = None
         self._inputs = collections.OrderedDict()
+        self._outlines = {}  # func name -> procedure outline
+        self._declarations = None
+        self._declared = {}  # (func name, name) -> declaration facts
 
     @property
     def points_to(self):
@@ -153,6 +159,78 @@ class ProgramFacts:
         if self._modref is None:
             self._modref = ModRefSummaries(self.program, points_to=self.points_to)
         return self._modref
+
+    def outline(self, func):
+        """The procedure as reuse keys read it: ``(text, names, unknowns,
+        callees, sids, parts)``.  ``text`` is its printed body, ``names``,
+        ``unknowns`` and ``callees`` what its statements mention
+        (:func:`_mentions`), ``sids`` its statements' sids in
+        :func:`_subtree_statements` order, and ``parts`` the same five per
+        top-level statement."""
+        outline = self._outlines.get(func.name)
+        if outline is None:
+            parts = []
+            all_uids = []
+            for stmt in func.body:
+                statements = _subtree_statements(stmt)
+                names, uids, callees = _mentions(statements)
+                all_uids.extend(uids)
+                parts.append((
+                    pretty_stmt(stmt),
+                    names,
+                    _first_occurrences(uids),
+                    callees,
+                    tuple(sub.sid for sub in statements),
+                ))
+            outline = (
+                "".join(part[0] for part in parts),
+                frozenset().union(*(part[1] for part in parts)),
+                _first_occurrences(all_uids),
+                tuple(sorted(set().union(*(part[3] for part in parts)))),
+                tuple(sid for part in parts for sid in part[4]),
+                tuple(parts),
+            )
+            self._outlines[func.name] = outline
+        return outline
+
+    def declaration(self, func_name, name):
+        """``(facts, var key)`` of a name in ``func_name``'s scope: whether
+        it is a global name, a protected global or a local, its declared
+        type, and its points-to variable key."""
+        found = self._declared.get((func_name, name))
+        if found is None:
+            global_names, protected, _structs = self.declarations
+            decl = self.program.lookup_var(func_name, name)
+            var_key = self.points_to.var_key(func_name, name)
+            found = (
+                (
+                    name,
+                    name in global_names,
+                    name in protected,
+                    var_key[0] is not None,
+                    None if decl is None else str(decl.type),
+                ),
+                var_key,
+            )
+            self._declared[(func_name, name)] = found
+        return found
+
+    @property
+    def declarations(self):
+        """``(global names, protected globals, struct layouts)``: the
+        program-wide declarations a translation reads."""
+        if self._declarations is None:
+            program = self.program
+            self._declarations = (
+                frozenset(program.global_names()),
+                frozenset(getattr(program, "protected_globals", ()) or ()),
+                tuple(
+                    (tag, tuple((f.name, str(f.type)) for f in struct.fields))
+                    for tag, struct in sorted(program.structs.items())
+                    if struct.is_complete
+                ),
+            )
+        return self._declarations
 
     def abstraction_inputs(self, predicates, options, stats):
         """``(signatures, analyses)`` for one C2bp run.
@@ -215,7 +293,8 @@ class ProgramAnalyses:
 
     :meth:`ProgramFacts.abstraction_inputs` builds one per distinct
     predicate set and keeps it for later C2bp runs on the same program,
-    so liveness and statement keys are solved once per set; the
+    so liveness and procedure and statement keys are solved once per
+    set; the
     program-only facts (CFGs, mod/ref, points-to) come from the
     :class:`ProgramFacts`.  Everything heavier than the flag checks is
     computed lazily: a run that never asks for mod/ref summaries never
@@ -239,6 +318,8 @@ class ProgramAnalyses:
         self._keysets = {}  # predicate expression -> location keyset
         self._liveness = {}  # func name -> LivePredicates
         self._statement_keys = {}  # (func name, index) -> statement key
+        self._procedure_keys = {}  # func name -> procedure key
+        self._expr_names = {}  # predicate expression -> its variables
 
     def attach(self, stats):
         """Send every counter from here on to ``stats`` (the context of
@@ -366,54 +447,123 @@ class ProgramAnalyses:
             return (func_name, None)
         return (
             func_name,
+            tuple(signature.formals),
+            signature.return_var,
             tuple(p.name for p in signature.formal_predicates),
             tuple(p.name for p in signature.return_predicates),
         )
 
+    def _scope_facts(self, func_name, names, predicates, callees):
+        """What a translation reads of the program beyond its own text:
+        for each variable it or ``predicates`` mention (or the callees'
+        signature predicates, translated into its scope), its
+        :meth:`ProgramFacts.declaration`; which callees are defined; the
+        struct layouts; and the points-to partition restricted to the
+        cells those variables reach, with the callees' transitive mod
+        sets restricted the same way."""
+        names = set(names)
+        for predicate in predicates:
+            names |= self._names(predicate.expr)
+        defined = []
+        for callee in callees:
+            signature = self.signatures.get(callee)
+            if signature is None:
+                continue
+            defined.append(callee)
+            for predicate in signature.formal_predicates + signature.return_predicates:
+                names |= self._names(predicate.expr)
+        declared = [self.facts.declaration(func_name, name) for name in sorted(names)]
+        modref = self.modref
+        return (
+            tuple(facts for facts, _key in declared),
+            tuple(defined),
+            self.facts.declarations[2],
+            self.points_to.alias_facts(
+                [key for _facts, key in declared],
+                [modref.written_cells(callee) for callee in defined],
+            ),
+        )
+
+    def _names(self, expr):
+        names = self._expr_names.get(expr)
+        if names is None:
+            names = self._expr_names[expr] = frozenset(variables(expr))
+        return names
+
     def statement_key(self, func, index, stmt):
         """A cache key covering everything the statement's translation
-        reads; equal keys guarantee byte-identical translated parts.
-        Computed once per statement: call it after
-        :meth:`compute_liveness` has run for ``func``."""
+        reads; equal keys guarantee byte-identical translated parts, up
+        to the statements' sids and the temporaries' prefix.  The key is
+        position-free: it names no index or sid, so a statement that an
+        edit shifted keeps its key.  Computed once per statement: call it
+        after :meth:`compute_liveness` has run for ``func``."""
         key = self._statement_keys.get((func.name, index))
         if key is None:
-            key = self._statement_key(func, index, stmt)
+            key = self._statement_key(func, stmt, self.facts.outline(func)[5][index])
             self._statement_keys[(func.name, index)] = key
         return key
 
-    def _statement_key(self, func, index, stmt):
+    def _statement_key(self, func, stmt, part):
         scope = self.predicates.in_scope(func.name)
         relevant = self.relevant_names(func.name, stmt)
         if relevant is None:
-            pred_part = tuple(p.name for p in scope)
+            predicates = scope
             sig_part = tuple(
                 self._signature_fingerprint(name)
                 for name in sorted(self.signatures)
             )
         else:
-            pred_part = tuple(p.name for p in scope if p.name in relevant)
+            predicates = [p for p in scope if p.name in relevant]
             sig_part = (self._signature_fingerprint(func.name),)
+        text, names, unknowns, callees, sids = part
         solved = self._liveness.get(func.name)
         if solved is None:
             live_part = "live-off"
         else:
-            live_part = tuple(
-                (sid, fact if fact is None else tuple(sorted(fact)))
-                for sid, fact in sorted(
-                    (sid, solved.live_out_by_sid(sid))
-                    for sid in _subtree_sids(stmt)
-                )
-            )
+            live_part = []
+            for ordinal, sid in enumerate(sids):
+                if sid is not None:
+                    fact = solved.live_out_by_sid(sid)
+                    live_part.append(
+                        (ordinal, fact if fact is None else tuple(sorted(fact)))
+                    )
+            live_part = tuple(live_part)
         return (
             func.name,
-            index,
-            stmt.sid,
-            pretty_stmt(stmt),
+            text,
+            unknowns,
             tuple(stmt.labels),
-            pred_part,
+            tuple((p.scope is None, p.name) for p in predicates),
             sig_part,
             live_part,
+            self._scope_facts(func.name, names, predicates, callees),
         )
+
+    def procedure_key(self, func):
+        """A cache key covering everything the procedure's translation
+        reads (C2bp abstracts each procedure on its own): its text, its
+        ordered in-scope predicates, its own and its callees'
+        signatures, its enforce key, and :meth:`_scope_facts`.  Equal
+        keys guarantee the same assembled procedure up to sids.  Needs
+        no liveness; computed once per procedure."""
+        key = self._procedure_keys.get(func.name)
+        if key is None:
+            text, names, unknowns, callees, _sids, _parts = self.facts.outline(func)
+            scope = self.predicates.in_scope(func.name)
+            key = (
+                func.name,
+                text,
+                unknowns,
+                tuple((p.scope is None, p.name) for p in scope),
+                tuple(
+                    self._signature_fingerprint(name)
+                    for name in (func.name,) + callees
+                ),
+                self.enforce_key(func.name),
+                self._scope_facts(func.name, names, scope, callees),
+            )
+            self._procedure_keys[func.name] = key
+        return key
 
     def enforce_key(self, func_name):
         return (
@@ -439,13 +589,53 @@ class ProgramAnalyses:
         return candidates
 
 
-def _subtree_sids(stmt):
-    sids = []
+def _subtree_statements(stmt):
+    """``stmt`` and every statement nested in it, in preorder: the
+    ordinals by which reuse keys and payloads name statements."""
+    statements = []
     stack = [stmt]
     while stack:
         current = stack.pop()
-        if current.sid is not None:
-            sids.append(current.sid)
-        for sub in current.substatements():
-            stack.extend(sub)
-    return sids
+        statements.append(current)
+        for sub in reversed(current.substatements()):
+            stack.extend(reversed(sub))
+    return statements
+
+
+def _statement_expressions(stmt):
+    if isinstance(stmt, C.Assign):
+        return (stmt.lhs, stmt.rhs)
+    if isinstance(stmt, C.CallStmt):
+        return tuple(stmt.args) + (() if stmt.lhs is None else (stmt.lhs,))
+    if isinstance(stmt, C.Return):
+        return () if stmt.value is None else (stmt.value,)
+    cond = getattr(stmt, "cond", None)
+    return () if cond is None else (cond,)
+
+
+def _mentions(statements):
+    """``(names, uids, callees)``: the variables the statements mention,
+    the ids of their ``*`` values in order, and their sorted callee
+    names.  Every ``*`` prints alike, but each is its own value unless it
+    shares an id with another, so keys carry :func:`_first_occurrences`
+    of the ids."""
+    names = set()
+    uids = []
+    for stmt in statements:
+        for expr in _statement_expressions(stmt):
+            for node in walk(expr):
+                if isinstance(node, C.Id):
+                    names.add(node.name)
+                elif isinstance(node, C.Unknown):
+                    uids.append(node.uid)
+    return frozenset(names), uids, tuple(sorted(_callees(statements)))
+
+
+def _first_occurrences(values):
+    """``values`` renumbered by first occurrence."""
+    numbers = {}
+    return tuple(numbers.setdefault(value, len(numbers)) for value in values)
+
+
+def _callees(statements):
+    return {stmt.name for stmt in statements if isinstance(stmt, C.CallStmt)}

@@ -128,16 +128,29 @@ class ModRefSummaries:
         self.points_to = points_to
         self.call_graph = CallGraph(program)
         self._stmt_cache = {}  # id(stmt) -> StatementSummary
-        self.function_mod = {}
-        self.function_ref = {}
+        self._function_mod = {}
+        self._function_ref = {}
+        self._solved = False  # the keyset summaries are solved on first use
         self._global_keyset = {
             name: C.Id(name) for name in program.global_names()
         }
+        self._own_writes = {}  # name -> cells the procedure itself assigns
+        self._written = {}  # name -> cells it and its callees assign
+
+    @property
+    def function_mod(self):
         self._solve_functions()
+        return self._function_mod
+
+    @property
+    def function_ref(self):
+        self._solve_functions()
+        return self._function_ref
 
     # -- statement level --------------------------------------------------------
 
     def statement_summary(self, stmt, func_name):
+        self._solve_functions()
         cached = self._stmt_cache.get(id(stmt))
         if cached is None:
             cached = self._summarize_stmt(stmt, func_name)
@@ -183,7 +196,7 @@ class ModRefSummaries:
             summary.mod[WILDCARD] = None
             summary.ref[WILDCARD] = None
             return
-        callee_mod = self.function_mod.get(stmt.name)
+        callee_mod = self._function_mod.get(stmt.name)
         if callee_mod is None:
             # Bottom-up order not finished for this callee (recursion):
             # the clique fixpoint below will refine; start conservative.
@@ -197,14 +210,14 @@ class ModRefSummaries:
         for text, loc in callee_mod.items():
             if text == WILDCARD or text in self._global_keyset:
                 summary.mod[text] = loc
-        for text, loc in self.function_ref.get(stmt.name, {}).items():
+        for text, loc in self._function_ref.get(stmt.name, {}).items():
             if text == WILDCARD or text in self._global_keyset:
                 summary.ref[text] = loc
         if self._callee_writes_through_pointers(stmt.name) and stmt.args:
             summary.mod[WILDCARD] = None
 
     def _callee_writes_through_pointers(self, name):
-        mod = self.function_mod.get(name, {})
+        mod = self._function_mod.get(name, {})
         if WILDCARD in mod:
             return True
         for text, loc in mod.items():
@@ -215,6 +228,9 @@ class ModRefSummaries:
     # -- procedure level --------------------------------------------------------
 
     def _solve_functions(self):
+        if self._solved:
+            return
+        self._solved = True
         order = self.call_graph.bottom_up_order()
         recursive = self.call_graph.recursive_names()
         for _round in range(2 if recursive else 1):
@@ -230,5 +246,63 @@ class ModRefSummaries:
                     summary = self.statement_summary(stmt, name)
                     mod.update(summary.mod)
                     ref.update(summary.ref)
-                self.function_mod[name] = mod
-                self.function_ref[name] = ref
+                self._function_mod[name] = mod
+                self._function_ref[name] = ref
+
+    # -- cells a call may write -------------------------------------------------
+
+    def written_cells(self, name):
+        """The transitive mod set of procedure ``name`` as cells of the
+        analysed points-to partition
+        (:meth:`repro.pointers.PointsToAnalysis.analysed_cell`): every
+        lvalue that ``name`` or a defined procedure it transitively calls
+        assigns.  A procedure's writes to its own locals (a variable or
+        one of its fields) are left out: every call gets fresh ones.
+        Writes inside extern callees are not modelled here."""
+        written = self._written.get(name)
+        if written is None:
+            written = set()
+            seen = set()
+            stack = [name]
+            while stack:
+                current = stack.pop()
+                if current in seen:
+                    continue
+                seen.add(current)
+                written |= self._writes_of(current)
+                stack.extend(self.call_graph.callees.get(current, ()))
+            written = frozenset(written)
+            self._written[name] = written
+        return written
+
+    def _writes_of(self, name):
+        own = self._own_writes.get(name)
+        if own is not None:
+            return own
+        own = set()
+        func = self.program.functions.get(name)
+        if func is not None and func.is_defined:
+            pta = self.points_to
+
+            def visit(stmts):
+                for stmt in stmts:
+                    lhs = getattr(stmt, "lhs", None)
+                    if isinstance(stmt, (C.Assign, C.CallStmt)) and lhs is not None:
+                        if not _activation_local(lhs, func):
+                            cell = pta.analysed_cell(lhs, name)
+                            if cell is not None:
+                                own.add(cell)
+                    for sub in stmt.substatements():
+                        visit(sub)
+
+            visit(func.body)
+        self._own_writes[name] = own
+        return own
+
+
+def _activation_local(lvalue, func):
+    """Whether ``lvalue`` names a local or formal of ``func`` (or a field
+    of one) without going through a pointer."""
+    while isinstance(lvalue, (C.FieldAccess, C.Cast)):
+        lvalue = lvalue.base if isinstance(lvalue, C.FieldAccess) else lvalue.operand
+    return isinstance(lvalue, C.Id) and func.lookup_var(lvalue.name) is not None

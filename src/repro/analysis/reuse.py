@@ -1,14 +1,19 @@
-"""The reuse level, and cross-iteration reuse of statement abstractions.
+"""The reuse level, and reuse of procedure and statement abstractions.
 
-Each CEGAR iteration re-runs C2bp with a slightly larger predicate set,
-yet most statements' translations cannot have changed: a new predicate
-only affects a statement when it reaches the statement's mod/ref closure
-(it gains a slot there, or enters some slot's cone of influence).
-:class:`AbstractionReuse` caches each top-level statement's translated
-parts keyed by everything the translation reads — the statement text,
-the scope predicates inside its mod/ref closure, its liveness fact, and
-the involved signatures — so the next iteration re-translates only the
-statements the new predicates actually touch.
+C2bp abstracts each procedure on its own, and its translation depends
+only on what the procedure reads: its text, its in-scope predicates,
+the signatures involved, and the program facts its statements touch.
+:class:`AbstractionReuse` caches whole procedures keyed by exactly that
+(:meth:`repro.analysis.ProgramAnalyses.procedure_key`), so a warm run on
+a program whose procedure is unchanged (a resubmission, or any other
+procedure of a one-procedure edit) fetches it without solving liveness
+or keying a statement.  Below that it caches each top-level statement's
+translated parts keyed by the statement text, the scope predicates
+inside its mod/ref closure, its liveness fact, the involved signatures
+and the points-to facts it reads, so a changed procedure, or the next
+CEGAR iteration's larger predicate set, re-translates only the
+statements whose inputs changed.  Neither key names a position: an edit
+that shifts statements leaves the shifted statements' keys alone.
 
 Every C2bp run translates through one, over its engine context's
 :class:`ReuseLevel`, which also keeps the program memo and Bebop's
@@ -16,9 +21,12 @@ answers and tables.
 
 Byte identity with a fresh run comes from C2bp's one assembly path:
 every statement, fetched or fresh, is translated with a per-statement
-temporary prefix and assembled with the same first-use renumbering.
-Cached parts are cloned once on store and once per hit, because
-assembly renames statement nodes in place.
+temporary prefix and assembled with the same first-use renumbering,
+applied part by part.  Entries are shared read-only; a part is cloned
+only when assembly must write it: to rename its temporaries, or to
+re-stamp its statements' source sids (payloads record the sids they were
+translated at, by statement ordinal) when the program it is reused in
+numbers them differently.
 """
 
 import collections
@@ -59,21 +67,22 @@ SEEN_ONCE_CAPACITY = 1024
 #: a long-lived daemon.
 ANSWER_CAPACITY = 1024
 
-#: Entries each of a reuse level's statement, enforce and Bebop table
-#: memos keeps, least recently used first out.  One round of
+#: Entries each of a reuse level's procedure, statement, enforce and
+#: Bebop table memos keeps, least recently used first out.  One round of
 #: ``serve-edit-loop`` (priming plus 500 requests, 200 of them edits)
-#: peaks at 1,711 statement parts, 47 enforce invariants and 79 tables
-#: (seed 0; 1,713 and 1,710 parts at seeds 1 and 2), so the round never
+#: peaks at 300 procedure entries, 640 statement parts, 47 enforce
+#: invariants and 79 tables (seeds 0 and 1 alike), so the round never
 #: evicts; the bound only caps a long-lived daemon fed distinct edits,
-#: which would otherwise keep every statement part until ``flush``.
+#: which would otherwise keep every entry until ``flush``.
 STATEMENT_CAPACITY = 4096
 
 _ABSENT = object()
 
 
-def clone_stmts(stmts):
+def clone_stmts(stmts, sids=None):
     """Deep-copy boolean statements (expressions are immutable and
-    shared), preserving labels, source sids, and comments."""
+    shared), preserving labels and comments.  Source sids are kept, or
+    re-stamped through the ``sids`` mapping when one is given."""
     copies = []
     for stmt in stmts:
         if isinstance(stmt, B.BAssign):
@@ -84,10 +93,12 @@ def clone_stmts(stmts):
             new = B.BAssert(stmt.cond)
         elif isinstance(stmt, B.BIf):
             new = B.BIf(
-                stmt.cond, clone_stmts(stmt.then_body), clone_stmts(stmt.else_body)
+                stmt.cond,
+                clone_stmts(stmt.then_body, sids),
+                clone_stmts(stmt.else_body, sids),
             )
         elif isinstance(stmt, B.BWhile):
-            new = B.BWhile(stmt.cond, clone_stmts(stmt.body))
+            new = B.BWhile(stmt.cond, clone_stmts(stmt.body, sids))
         elif isinstance(stmt, B.BCall):
             new = B.BCall(list(stmt.targets), stmt.name, list(stmt.args))
         elif isinstance(stmt, B.BReturn):
@@ -97,15 +108,29 @@ def clone_stmts(stmts):
         else:
             new = B.BSkip()
         new.labels = list(stmt.labels)
-        new.source_sid = stmt.source_sid
+        new.source_sid = (
+            stmt.source_sid if sids is None
+            else sids.get(stmt.source_sid, stmt.source_sid)
+        )
         new.comment = stmt.comment
         copies.append(new)
     return copies
 
 
+def _writable(stmts, stored_sids, sids, renamed):
+    """``stmts`` themselves, or a clone when assembly must write them:
+    to re-stamp ``stored_sids`` (the sids they were translated at) as
+    ``sids``, or to rename temporaries."""
+    if sids is not None and tuple(stored_sids) != tuple(sids):
+        return clone_stmts(stmts, dict(zip(stored_sids, sids)))
+    if renamed:
+        return clone_stmts(stmts)
+    return stmts
+
+
 class ReuseLevel:
-    """The in-memory level: statement payloads and enforce invariants by
-    key, plus a count of the lookups it answered.
+    """The in-memory level: procedure and statement payloads and enforce
+    invariants by key, plus a count of the lookups it answered.
 
     An :class:`repro.engine.EngineContext` owns one; the daemon hands
     its one level to every request, with or without a store.  It also
@@ -118,6 +143,7 @@ class ReuseLevel:
     """
 
     def __init__(self):
+        self.procedures = collections.OrderedDict()  # key -> payload
         self.statements = collections.OrderedDict()  # key -> payload
         # key -> enforce expr (possibly None)
         self.enforce = collections.OrderedDict()
@@ -129,7 +155,7 @@ class ReuseLevel:
         self.program_hits = 0
         self.program_misses = 0
         self.program_admissions = 0
-        #: Memo entries dropped so far: entries of the five memos, and the
+        #: Memo entries dropped so far: entries of the six memos, and the
         #: per-predicate-set analyses of memoized programs
         #: (:meth:`count_eviction`).  A daemon reads it to learn that warm
         #: state was let go.
@@ -143,7 +169,7 @@ class ReuseLevel:
         # compute thread may be inside a lookup.
         self._memo_lock = threading.Lock()
 
-    # The one LRU routine over the five memos; callers hold the lock.
+    # The one LRU routine over the six memos; callers hold the lock.
 
     def _recall(self, memo, key):
         """``(hit, entry)``; a hit becomes ``memo``'s most recent entry."""
@@ -161,16 +187,16 @@ class ReuseLevel:
             self.program_evictions += 1
 
     def fetch(self, memo, key):
-        """``(hit, entry)`` from the ``"statements"``, ``"enforce"`` or
-        ``"tables"`` memo; a hit counts in ``hits``."""
+        """``(hit, entry)`` from the ``"procedures"``, ``"statements"``,
+        ``"enforce"`` or ``"tables"`` memo; a hit counts in ``hits``."""
         with self._memo_lock:
             hit, entry = self._recall(getattr(self, memo), key)
             self.hits += hit
             return hit, entry
 
     def keep(self, memo, key, entry):
-        """Store ``entry`` in the ``"statements"``, ``"enforce"`` or
-        ``"tables"`` memo."""
+        """Store ``entry`` in the ``"procedures"``, ``"statements"``,
+        ``"enforce"`` or ``"tables"`` memo."""
         with self._memo_lock:
             self._keep(getattr(self, memo), key, entry, STATEMENT_CAPACITY)
 
@@ -220,9 +246,10 @@ class ReuseLevel:
         """Empty the level; returns how many entries it dropped."""
         with self._memo_lock:
             dropped = (
-                len(self.statements) + len(self.enforce) + len(self.tables)
-                + len(self.programs) + len(self.answers)
+                len(self.procedures) + len(self.statements) + len(self.enforce)
+                + len(self.tables) + len(self.programs) + len(self.answers)
             )
+            self.procedures.clear()
             self.statements.clear()
             self.enforce.clear()
             self.tables.clear()
@@ -233,6 +260,7 @@ class ReuseLevel:
 
     def snapshot(self):
         return {
+            "procedures": len(self.procedures),
             "statements": len(self.statements),
             "enforce": len(self.enforce),
             "bebop_tables": len(self.tables),
@@ -249,13 +277,13 @@ class ReuseLevel:
 
 
 class AbstractionReuse:
-    """The cache C2bp consults per top-level statement (and per
-    procedure enforce); an engine context keeps one.
+    """The cache C2bp consults per procedure, per top-level statement
+    and per procedure enforce; an engine context keeps one.
 
     Entries sit on ``level`` under ``(options fingerprint, key)``, since
     a daemon's level serves requests whose options differ.  A subclass
-    adds a disk through the ``_load``/``_save`` hooks (and their enforce
-    twins).
+    adds a disk through the ``_load``/``_save`` hooks, which every memo
+    goes through.
     """
 
     def __init__(self, level, options, stats=None):
@@ -267,64 +295,91 @@ class AbstractionReuse:
         self.stats = stats
         self._fingerprint = options_fingerprint(options)
 
-    def _load(self, key):
-        """A level miss's payload from the lower level, or None."""
-        return None
-
-    def _save(self, key, payload):
-        """Write a newly stored payload through to the lower level."""
-
-    def _load_enforce(self, key):
+    def _load(self, memo, key):
+        """``(hit, payload)`` for a level miss from the lower level."""
         return False, None
 
-    def _save_enforce(self, key, enforce):
-        pass
+    def _save(self, memo, key, payload):
+        """Write a newly stored payload through to the lower level."""
+
+    def _recall(self, memo, key):
+        level_key = (self._fingerprint, key)
+        hit, payload = self.level.fetch(memo, level_key)
+        if not hit:
+            hit, payload = self._load(memo, key)
+            if hit:
+                self.level.keep(memo, level_key, payload)
+        return hit, payload
+
+    def _keep(self, memo, key, payload):
+        self.level.keep(memo, (self._fingerprint, key), payload)
+        self._save(memo, key, payload)
+
+    def _count(self, reused, retranslated):
+        if self.stats is not None:
+            self.stats.c2bp_stmts_reused += reused
+            self.stats.c2bp_stmts_retranslated += retranslated
+
+    # -- procedures -------------------------------------------------------------
+
+    def fetch_procedure(self, key, sids):
+        """The assembled procedure for ``key``, or None: its ``body``
+        (re-stamped when ``sids``, its statements' current sids, differ
+        from the payload's), ``locals`` (its renamed temporaries),
+        ``temp_meanings``, ``enforce``, ``statements`` (its top-level
+        statement count) and ``c2bp`` counters."""
+        hit, payload = self._recall("procedures", key)
+        if not hit:
+            return None
+        self._count(payload["statements"], 0)
+        entry = dict(payload)
+        entry["body"] = _writable(payload["body"], payload["sids"], sids, False)
+        return entry
+
+    def store_procedure(self, key, entry, sids):
+        """Keep an assembled procedure (see :meth:`fetch_procedure`); its
+        statements are shared read-only from here on."""
+        payload = dict(entry, body=list(entry["body"]), sids=tuple(sids))
+        self._keep("procedures", key, payload)
 
     # -- statements -------------------------------------------------------------
 
-    def fetch(self, key):
-        level_key = (self._fingerprint, key)
-        hit, payload = self.level.fetch("statements", level_key)
+    def fetch(self, key, sids=None):
+        """The translated part for a statement key, or None; see
+        :func:`_writable` for when its ``stmts`` are a private clone."""
+        hit, payload = self._recall("statements", key)
         if not hit:
-            payload = self._load(key)
-            if payload is None:
-                if self.stats is not None:
-                    self.stats.c2bp_stmts_retranslated += 1
-                return None
-            self.level.keep("statements", level_key, payload)
-        if self.stats is not None:
-            self.stats.c2bp_stmts_reused += 1
+            self._count(0, 1)
+            return None
+        self._count(1, 0)
         return {
-            "stmts": clone_stmts(payload["stmts"]),
+            "stmts": _writable(
+                payload["stmts"], payload["sids"], sids, payload["temps"]
+            ),
             "temps": list(payload["temps"]),
             "temp_meanings": list(payload["temp_meanings"]),
             "c2bp": dict(payload["c2bp"]),
         }
 
-    def store(self, key, stmts, temps, temp_meanings, c2bp_counters):
+    def store(self, key, stmts, temps, temp_meanings, c2bp_counters, sids=()):
+        """Keep a translated part.  Assembly renames a part's temporaries
+        in place, so a part with temporaries is kept as a clone; one
+        without is shared read-only."""
         payload = {
-            "stmts": clone_stmts(stmts),
+            "stmts": clone_stmts(stmts) if temps else list(stmts),
             "temps": list(temps),
             "temp_meanings": list(temp_meanings),
             "c2bp": dict(c2bp_counters),
+            "sids": tuple(sids),
         }
-        self.level.keep("statements", (self._fingerprint, key), payload)
-        self._save(key, payload)
+        self._keep("statements", key, payload)
 
     # -- enforce invariants -----------------------------------------------------
 
     def fetch_enforce(self, key):
         """``(hit, enforce)`` — a hit's enforce can legitimately be None
         (no inconsistent cubes), so presence must be reported separately."""
-        level_key = (self._fingerprint, key)
-        hit, enforce = self.level.fetch("enforce", level_key)
-        if hit:
-            return True, enforce
-        hit, enforce = self._load_enforce(key)
-        if hit:
-            self.level.keep("enforce", level_key, enforce)
-        return hit, enforce
+        return self._recall("enforce", key)
 
     def store_enforce(self, key, enforce):
-        self.level.keep("enforce", (self._fingerprint, key), enforce)
-        self._save_enforce(key, enforce)
+        self._keep("enforce", key, enforce)

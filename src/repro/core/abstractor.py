@@ -19,11 +19,13 @@ procedure in isolation, statement by statement:
 Each top-level statement is translated on its own, in its own
 call-site temporary namespace; a procedure's parts are then assembled
 with one first-use renumbering of those temporaries to ``__r<N>``.  A
-statement's translation depends only on the inputs its cache key
-covers (:meth:`repro.analysis.ProgramAnalyses.statement_key`), so every
-run fetches the statements whose key its engine context's reuse cache
-already holds, and translates only the rest; the output is
-byte-identical either way.
+procedure's translation depends only on the inputs its cache key covers
+(:meth:`repro.analysis.ProgramAnalyses.procedure_key`), and a
+statement's only on its own key's
+(:meth:`repro.analysis.ProgramAnalyses.statement_key`), so every run
+fetches the procedures whose key its engine context's reuse cache
+already holds, and within the others the statements it holds, and
+translates only the rest; the output is byte-identical either way.
 """
 
 from repro.cfront import cast as C
@@ -113,40 +115,72 @@ class C2bp:
         return boolean_program
 
     def _abstract_procedure(self, func):
-        """Pass two for one procedure: Ω first (liveness anchors the
-        predicates it reads as always-live), then every top-level
-        statement in its own temp namespace, then one first-use
-        renumbering of the call-site temporaries to ``__r<N>``."""
-        enforce = self._enforce(func.name)
-        self.analysis.compute_liveness(func.name, enforce)
-        body = []
-        renamed_temps = []
-        mapping = {}
-        for index, stmt in enumerate(func.body):
-            part = self._statement_part(func, index, stmt)
-            for site_name in part["temps"]:
-                final_name = "__r%d" % len(renamed_temps)
-                mapping[site_name] = final_name
-                renamed_temps.append(final_name)
-            body.extend(part["stmts"])
-            for site_name, meaning in part["temp_meanings"]:
-                self.temp_meanings[(func.name, mapping[site_name])] = meaning
-        if mapping:
-            B.rename_stmt_variables(body, mapping)
+        """Pass two for one procedure, fetched whole when its key is
+        cached, else translated by :meth:`_translate_procedure`."""
+        key = self.analysis.procedure_key(func)
+        sids = self.facts.outline(func)[4]
+        entry = self.reuse.fetch_procedure(key, sids)
+        if entry is None:
+            entry = self._translate_procedure(func)
+            self.reuse.store_procedure(key, entry, sids)
+        else:
+            self._add_counters(entry["c2bp"])
+        for temp, meaning in entry["temp_meanings"]:
+            self.temp_meanings[(func.name, temp)] = meaning
         signature = self.signatures[func.name]
         local_predicates = self.predicates.for_procedure(func.name)
         formal_names = [p.name for p in signature.formal_predicates]
         local_names = [
             p.name for p in local_predicates if p not in signature.formal_predicates
-        ] + renamed_temps
+        ] + entry["locals"]
         return B.BProcedure(
             func.name,
             formal_names,
             local_names,
             len(signature.return_predicates),
-            body,
-            enforce,
+            list(entry["body"]),
+            entry["enforce"],
         )
+
+    def _translate_procedure(self, func):
+        """Ω first (liveness anchors the predicates it reads as
+        always-live), then every top-level statement in its own temp
+        namespace, each part's call-site temporaries renumbered to
+        ``__r<N>`` in first-use order.  Returns the procedure entry
+        :meth:`repro.analysis.AbstractionReuse.fetch_procedure` yields."""
+        enforce = self._enforce(func.name)
+        self.analysis.compute_liveness(func.name, enforce)
+        body = []
+        renamed_temps = []
+        temp_meanings = []
+        counters = dict.fromkeys(self._COUNTER_FIELDS, 0)
+        for index, stmt in enumerate(func.body):
+            part, fetched = self._statement_part(func, index, stmt)
+            if fetched:
+                self._add_counters(part["c2bp"])
+            mapping = {}
+            for site_name in part["temps"]:
+                mapping[site_name] = "__r%d" % len(renamed_temps)
+                renamed_temps.append(mapping[site_name])
+            if mapping:
+                B.rename_stmt_variables(part["stmts"], mapping)
+            body.extend(part["stmts"])
+            for site_name, meaning in part["temp_meanings"]:
+                temp_meanings.append((mapping[site_name], meaning))
+            for name, value in part["c2bp"].items():
+                counters[name] += value
+        return {
+            "body": body,
+            "locals": renamed_temps,
+            "temp_meanings": temp_meanings,
+            "enforce": enforce,
+            "statements": len(func.body),
+            "c2bp": counters,
+        }
+
+    def _add_counters(self, counters):
+        for name, value in counters.items():
+            setattr(self.stats, name, getattr(self.stats, name) + value)
 
     def _enforce(self, func_name):
         """The procedure's ``enforce`` invariant Ω (Section 5.1), or None."""
@@ -161,24 +195,24 @@ class C2bp:
         return enforce
 
     def _statement_part(self, func, index, stmt):
-        """One top-level statement's translated part: from the reuse
-        cache when its key is unchanged, else freshly translated (and
-        then cached)."""
+        """``(part, fetched)``: one top-level statement's translated
+        part, from the reuse cache when its key is unchanged, else
+        freshly translated (its counters already counted) and cached."""
         key = self.analysis.statement_key(func, index, stmt)
-        part = self.reuse.fetch(key)
-        if part is None:
-            part = self._translate_statement(func, index, stmt)
-            self.reuse.store(
-                key,
-                part["stmts"],
-                part["temps"],
-                part["temp_meanings"],
-                part["c2bp"],
-            )
-        else:
-            for name, value in part["c2bp"].items():
-                setattr(self.stats, name, getattr(self.stats, name) + value)
-        return part
+        sids = self.facts.outline(func)[5][index][4]
+        part = self.reuse.fetch(key, sids)
+        if part is not None:
+            return part, True
+        part = self._translate_statement(func, index, stmt)
+        self.reuse.store(
+            key,
+            part["stmts"],
+            part["temps"],
+            part["temp_meanings"],
+            part["c2bp"],
+            sids,
+        )
+        return part, False
 
     _COUNTER_FIELDS = (
         "assignments_abstracted",

@@ -8,9 +8,11 @@ For a call ``v = R(a1, ..., aj)`` at a label of procedure ``S``:
 2. fresh temporaries ``t1..tp`` receive the return predicates ``E_r``; the
    meaning of ``t_i`` is ``e_i[v/r, a/f]``;
 3. caller-local predicates whose value the call may change (they mention
-   ``v``, a global, a transitive dereference of an actual, or an alias of
-   one of those) are re-strengthened from the unaffected predicates plus
-   the temporaries; everything else is left untouched.
+   ``v``, a global, a transitive dereference of an actual, an alias of
+   one of those, or a cell in the callee's transitive mod set -- a local
+   whose address escaped into a global the callee writes through) are
+   re-strengthened from the unaffected predicates plus the temporaries;
+   everything else is left untouched.
 
 A call to an *undefined* (extern) procedure has no summary at all:
 affected predicates — including global ones — are invalidated with
@@ -137,6 +139,7 @@ def _call_clobbers_actuals(proc_abs, stmt, predicate_expr, formals):
     used = variables(predicate_expr)
     global_names = set(parent.program.global_names())
     reachable = pta.reachable_from_values(stmt.args, func_name)
+    written = parent.facts.modref.written_cells(stmt.name)
     for formal, actual in zip(formals, stmt.args):
         if formal not in used:
             continue
@@ -148,6 +151,8 @@ def _call_clobbers_actuals(proc_abs, stmt, predicate_expr, formals):
             if stmt.lhs is not None and pta.may_alias(loc, stmt.lhs, func_name):
                 return True
             if pta.location_in(loc, reachable, func_name):
+                return True
+            if pta.analysed_cell(loc, func_name) in written:
                 return True
     return False
 
@@ -242,6 +247,11 @@ def _affected_predicates(proc_abs, stmt, include_globals):
     pool = local_predicates + (global_predicates if include_globals else [])
 
     protected = frozenset(getattr(parent.program, "protected_globals", ()) or ())
+    # What a defined callee writes (an extern's writes are the escaped cells).
+    written = (
+        frozenset() if include_globals
+        else parent.facts.modref.written_cells(stmt.name)
+    )
     affected = []
     for predicate in pool:
         if _call_affects(
@@ -253,12 +263,14 @@ def _affected_predicates(proc_abs, stmt, include_globals):
             reachable,
             include_globals,
             protected,
+            written,
         ):
             affected.append(predicate)
     return affected
 
 
-def _call_affects(predicate, stmt, pta, func_name, global_names, reachable, extern, protected=frozenset()):
+def _call_affects(predicate, stmt, pta, func_name, global_names, reachable,
+                  extern, protected=frozenset(), written=frozenset()):
     mentioned = variables(predicate.expr)
     # Mentions a global: the callee can change it.  (For calls to defined
     # procedures the *global* predicate variables themselves are updated by
@@ -282,6 +294,13 @@ def _call_affects(predicate, stmt, pta, func_name, global_names, reachable, exte
     for loc in predicate_locations:
         if pta.location_in(loc, reachable, func_name):
             return True
+    # Writes a cell the callee (or one of its callees) assigns: a caller
+    # local whose address escaped into a global pointer the callee writes
+    # through, say.
+    if written:
+        for loc in predicate_locations:
+            if pta.analysed_cell(loc, func_name) in written:
+                return True
     if extern:
         # Extern callees may also write anything address-taken that has
         # escaped to the external world.

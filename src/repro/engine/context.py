@@ -100,9 +100,9 @@ class EngineContext:
 
     @property
     def abstraction_reuse(self):
-        """The statement/enforce cache every C2bp run under this context
-        translates through: over :attr:`reuse_level`, then the store's
-        disk when there is a store.  Built on first use."""
+        """The procedure/statement/enforce cache every C2bp run under
+        this context translates through: over :attr:`reuse_level`, then
+        the store's disk when there is a store.  Built on first use."""
         if self._abstraction_reuse is None:
             from repro.analysis import AbstractionReuse, ensure_analysis_stats
             from repro.serve import PersistentAbstractionReuse

@@ -18,6 +18,14 @@ Calls to defined functions unify arguments with formals and the call result
 with the callee's return variable.  Calls to externs conservatively collapse
 everything reachable from pointer arguments into a single self-referential
 "external world" ECR.
+
+The partition the constraints produce is also kept as it stood when the
+analysis finished (:meth:`PointsToAnalysis.analysed_cell`,
+:meth:`PointsToAnalysis.alias_facts`): queries later create cells on
+demand (a pointee nothing pointed to yet, a variable no constraint
+mentioned), and such a cell is always a fresh class of its own, so the
+analysed partition with those cells named by how they are reached
+decides every query the same way.  Reuse keys describe procedures by it.
 """
 
 from repro.cfront import cast as C
@@ -42,6 +50,7 @@ class PointsToAnalysis:
         # The external world points to itself and its fields are itself.
         self._pt[self._uf.find(self._external)] = self._external
         self._analyze()
+        self._freeze()
 
     # -- ECR plumbing -------------------------------------------------------
 
@@ -113,16 +122,17 @@ class PointsToAnalysis:
 
     # -- cells for program entities ---------------------------------------------
 
-    def var_cell(self, func_name, var_name):
-        """The cell ECR of a variable (locals shadow globals)."""
+    def var_key(self, func_name, var_name):
+        """``(scope, name)``: locals shadow globals."""
         if func_name is not None:
             func = self.program.functions.get(func_name)
             if func is not None and func.lookup_var(var_name) is not None:
-                key = (func_name, var_name)
-            else:
-                key = (None, var_name)
-        else:
-            key = (None, var_name)
+                return (func_name, var_name)
+        return (None, var_name)
+
+    def var_cell(self, func_name, var_name):
+        """The cell ECR of a variable (locals shadow globals)."""
+        key = self.var_key(func_name, var_name)
         if key not in self._cell_of_var:
             self._cell_of_var[key] = self._fresh()
         return self._find(self._cell_of_var[key])
@@ -267,6 +277,124 @@ class PointsToAnalysis:
                 decl = self.program.lookup_var(func_name, var_name)
                 if decl is not None:
                     decl.address_taken = True
+
+    # -- the analysed partition -------------------------------------------------
+
+    def _freeze(self):
+        find = self._find
+        self._analysed_vars = {
+            key: find(ecr) for key, ecr in self._cell_of_var.items()
+        }
+        self._analysed_pt = {find(ecr): find(pt) for ecr, pt in self._pt.items()}
+        self._analysed_fields = {
+            find(ecr): {name: find(field) for name, field in fields.items()}
+            for ecr, fields in self._fields.items()
+        }
+        self._analysed_external = find(self._external)
+
+    def _analysed_var(self, key):
+        node = self._analysed_vars.get(key)
+        return ("var", key) if node is None else node
+
+    def _analysed_pointee(self, node):
+        pointee = self._analysed_pt.get(node)
+        return ("pt", node) if pointee is None else pointee
+
+    def analysed_cell(self, expr, func_name=None):
+        """The cell of an lvalue in the analysed partition, or None when
+        it is a fresh class that nothing else can share (the target of a
+        constant).  A class is its root ECR; a cell a later query would
+        create is named by how it is reached: ``("var", key)``, ``("pt",
+        node)``, ``("field", node, name)``.  Read-only."""
+        if isinstance(expr, C.Id):
+            return self._analysed_var(self.var_key(func_name, expr.name))
+        if isinstance(expr, C.FieldAccess):
+            base = self.analysed_cell(expr.base, func_name)
+            if base is None or base == self._analysed_external:
+                return base
+            field = self._analysed_fields.get(base, {}).get(expr.field)
+            return ("field", base, expr.field) if field is None else field
+        if isinstance(expr, C.Cast):
+            return self.analysed_cell(expr.operand, func_name)
+        if isinstance(expr, C.Deref):
+            return self._analysed_value(expr.pointer, func_name)
+        if isinstance(expr, C.Index):
+            return self._analysed_value(expr.base, func_name)
+        return None
+
+    def _analysed_value(self, expr, func_name):
+        """Mirrors :meth:`_value` without unifying: the analysis already
+        unified both sides of every arithmetic or conditional value the
+        program computes."""
+        if isinstance(expr, (C.Id, C.Deref, C.FieldAccess, C.Index)):
+            cell = self.analysed_cell(expr, func_name)
+            return None if cell is None else self._analysed_pointee(cell)
+        if isinstance(expr, C.AddrOf):
+            return self.analysed_cell(expr.operand, func_name)
+        if isinstance(expr, C.Cast):
+            return self._analysed_value(expr.operand, func_name)
+        if isinstance(expr, C.BinOp) and expr.op in ("+", "-"):
+            return self._analysed_value(expr.left, func_name)
+        if isinstance(expr, C.Cond):
+            return self._analysed_value(expr.then_expr, func_name)
+        return None
+
+    def alias_facts(self, var_keys, cell_sets=()):
+        """The analysed partition restricted to the cells reachable from
+        the variables ``var_keys`` (:meth:`var_key`), position-free.
+
+        Classes are numbered by first occurrence: the variables' cells in
+        the given order, then breadth-first along pointee and field
+        edges.  The result holds each variable's class number, each
+        class's ``(pointee, fields)`` edges, the number of the external
+        world (or None), and each of ``cell_sets`` (sets of
+        :meth:`analysed_cell` nodes) restricted to the numbered classes
+        and the cells reached from them.  Equal facts answer every alias,
+        reachability and escape query over those variables alike."""
+        numbers = {}
+        order = []
+
+        def number(node):
+            found = numbers.get(node)
+            if found is None:
+                found = numbers[node] = len(order)
+                order.append(node)
+            return found
+
+        var_part = tuple(number(self._analysed_var(key)) for key in var_keys)
+        edges = []
+        position = 0
+        while position < len(order):
+            node = order[position]
+            position += 1
+            pointee = self._analysed_pt.get(node)
+            fields = self._analysed_fields.get(node, {})
+            edges.append((
+                None if pointee is None else number(pointee),
+                tuple((name, number(fields[name])) for name in sorted(fields)),
+            ))
+
+        def describe(node):
+            found = numbers.get(node)
+            if found is not None:
+                return found
+            if isinstance(node, tuple) and node[0] in ("pt", "field"):
+                parent = describe(node[1])
+                if parent is not None:
+                    return (node[0], parent) + node[2:]
+            return None
+
+        restricted = []
+        for cells in cell_sets:
+            described = {describe(node) for node in cells}
+            described.discard(None)
+            restricted.append(tuple(sorted(described, key=repr)))
+        return (
+            var_part,
+            tuple(edges),
+            numbers.get(self._analysed_external),
+            tuple(restricted),
+        )
 
     # -- queries ---------------------------------------------------------------
 

@@ -260,7 +260,9 @@ class CubeProverSession:
             self._session = self.prover.backend.open_cube_session(
                 self.candidates, self.goal
             )
-            self._synced = self._session.counters()
+            # From zero: the session's constructor already encoded the
+            # query, and that work belongs in the stats too.
+            self._synced = dict.fromkeys(self._session.counters(), 0)
             self._catalog = ModelCatalog()
             self._catalog_synced = self._catalog.counters()
         self._catalog.ensure_swept(self._session)

@@ -33,6 +33,7 @@ from repro.serve.keys import (
     canonical_query_text,
     enforce_store_key,
     options_fingerprint,
+    procedure_store_key,
     query_store_key,
     statement_store_key,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "canonical_query_text",
     "enforce_store_key",
     "options_fingerprint",
+    "procedure_store_key",
     "query_store_key",
     "statement_store_key",
 ]

@@ -122,6 +122,15 @@ def statement_store_key(stmt_key, options):
     )
 
 
+def procedure_store_key(proc_key, options):
+    """The store key text for an assembled procedure
+    (:meth:`repro.analysis.ProgramAnalyses.procedure_key`, as process
+    stable as a statement key)."""
+    return _digest_text(
+        "c2bp-proc", "%s|%s" % (options_fingerprint(options), repr(proc_key))
+    )
+
+
 def enforce_store_key(enforce_key, options):
     """The store key text for a per-procedure enforce invariant."""
     return _digest_text(

@@ -33,8 +33,8 @@ analyses) thaws before its own collection.
 Control ops: ``ping``, ``stats`` (server counters, per-op compute times,
 the compute-queue depth, cache and reuse-level snapshots, collector
 state), ``flush`` (drop the warm in-memory caches -- the prover cache and
-the statement/enforce/program/Bebop-answer level -- and keep the disk
-store), and
+the procedure/statement/enforce/program/Bebop-answer level -- and keep
+the disk store), and
 ``shutdown`` (reply, then exit cleanly).
 """
 

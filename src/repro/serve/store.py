@@ -91,9 +91,9 @@ class PersistentStore:
         self._total_bytes = None  # lazy: scanned on first capped put
         self._namespace_counts = {}  # namespace -> {"hits": n, "misses": n}
         #: The level above the disk for a context with this store and no
-        #: level of its caller's: decoded statement/enforce payloads and
-        #: Bebop tables, the program memo and Bebop's answers, kept for
-        #: this object's lifetime.
+        #: level of its caller's: decoded procedure/statement/enforce
+        #: payloads and Bebop tables, the program memo and Bebop's
+        #: answers, kept for this object's lifetime.
         self.reuse_level = ReuseLevel()
         for name in self.COUNTER_FIELDS:
             setattr(self, name, 0)

@@ -196,6 +196,20 @@ def test_session_counters_track_reuse():
     assert stats.calls == stats.valid + stats.invalid + stats.unknown
 
 
+def test_abstraction_with_cube_sessions_counts_encoding_time():
+    """The session's constructor encodes the query; that time reaches
+    ``ProverStats`` on the production path too, not only on the fresh
+    reference's."""
+    study = get_program("partition")
+    program = parse_c_program(study.source, study.name)
+    predicates = parse_predicate_file(study.predicate_text, program)
+    tool = C2bp(program, predicates)
+    tool.run()
+    stats = tool.prover.stats.snapshot()
+    assert stats["cube_sessions"] > 0
+    assert stats["time_in_encode"] > 0
+
+
 def test_allsat_counters_track_catalog():
     prover = Prover()
     search = CubeSearch(prover, C2bpOptions(syntactic_heuristics=False))

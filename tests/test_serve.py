@@ -186,15 +186,20 @@ def _check_request(study):
     }
 
 
-def _stmt_disk_reads(store):
-    counts = store.snapshot()["namespaces"].get("c2bp-stmt", {})
-    return counts.get("hits", 0) + counts.get("misses", 0)
+def _abstraction_disk_reads(store):
+    """Procedure and statement records looked up on disk."""
+    reads = 0
+    for namespace in ("c2bp-proc", "c2bp-stmt"):
+        counts = store.snapshot()["namespaces"].get(namespace, {})
+        reads += counts.get("hits", 0) + counts.get("misses", 0)
+    return reads
 
 
 def test_smoke_reuse_level_outlives_requests(tmp_path):
     """A repeated request is answered from the store's in-memory level
-    without reading a statement record from disk; after ``flush`` the same
-    request reads the disk again and prints the same bytes."""
+    (every procedure whole) without reading a procedure or statement
+    record from disk; after ``flush`` the same request reads the disk
+    again and prints the same bytes."""
     from repro.serve.server import ReproServer
 
     server = ReproServer(cache_dir=str(tmp_path / "cache"))
@@ -203,20 +208,20 @@ def test_smoke_reuse_level_outlives_requests(tmp_path):
         cold = server._run_job(request)
         assert cold["ok"] and cold["exit_code"] == 0
         level = server.store.reuse_level
-        assert level.statements and level.enforce
-        reads, hits = _stmt_disk_reads(server.store), level.hits
+        assert level.procedures and level.statements and level.enforce
+        reads, hits = _abstraction_disk_reads(server.store), level.hits
         warm = server._run_job(request)
         assert warm["output"] == cold["output"]
-        assert _stmt_disk_reads(server.store) == reads
-        assert level.hits >= len(level.statements) + hits
+        assert _abstraction_disk_reads(server.store) == reads
+        assert level.hits >= len(level.procedures) + hits
 
-        entries = len(level.statements) + len(level.enforce)
+        entries = len(level.procedures) + len(level.statements) + len(level.enforce)
         flushed = server._op_flush({})
         assert flushed["entries_dropped"] >= entries
-        assert not level.statements and not level.enforce
+        assert not level.procedures and not level.statements and not level.enforce
         after = server._run_job(request)
         assert after["output"] == cold["output"]
-        assert _stmt_disk_reads(server.store) > reads
+        assert _abstraction_disk_reads(server.store) > reads
     finally:
         server._executor.shutdown()
 
@@ -258,8 +263,60 @@ def test_smoke_reuse_level_hits_are_private_copies(tmp_path):
     assert second["c2bp"] == {"prover_calls": 3}
     assert second["stmts"][0] is not first["stmts"][0]
     # Both fetches were level hits: the disk was never read.
-    assert _stmt_disk_reads(store) == 0
+    assert _abstraction_disk_reads(store) == 0
     assert store.reuse_level.hits == 2
+
+
+_TEMPS_SOURCE = """int g;
+int inc(int v) { int r; r = v + 1; return r; }
+void main() {
+    int x; int y; int z;
+    x = 0; z = 1; y = inc(x); g = y;
+    if (y == 1) { g = 2; }
+    assert(g == 2);
+}
+"""
+# ``z == 3`` is never read: BP-DCE drops it.
+_TEMPS_PREDICATES = (
+    "global\ng == 2\ninc\nv == 0\nr == 1\nmain\nx == 0\ny == 1\nz == 3\n"
+)
+
+
+def test_smoke_shared_entries_survive_assembly_and_dce():
+    """Reused entries are shared read-only, and nothing downstream writes
+    them: a program assembled from fetched entries, then reduced by
+    BP-DCE and printed, leaves the entries as they were, so a second
+    fetch prints the first printing again."""
+    from repro import C2bp, parse_c_program, parse_predicate_file
+    from repro.analysis import eliminate_dead_variables
+    from repro.boolprog.printer import print_bool_program
+    from repro.engine import EngineContext
+
+    program = parse_c_program(_TEMPS_SOURCE)
+    predicates = parse_predicate_file(_TEMPS_PREDICATES, program)
+    context = EngineContext()
+    cold = print_bool_program(C2bp(program, predicates, context=context).run())
+    level = context.reuse_level
+    # Both kinds of statement part: one renamed in assembly, some shared.
+    assert {bool(part["temps"]) for part in level.statements.values()} == {
+        False, True
+    }
+
+    def fetch():
+        return C2bp(program, predicates, context=context).run()
+
+    first = fetch()
+    printed = print_bool_program(first)
+    assert printed == cold
+    shared = {id(stmt) for entry in level.procedures.values()
+              for stmt in entry["body"]}
+    assert any(id(stmt) in shared for stmt in first.procedures["main"].body)
+    reduced, eliminated = eliminate_dead_variables(first)
+    assert eliminated > 0
+    assert print_bool_program(reduced) != printed
+    second = fetch()
+    assert print_bool_program(first) == printed
+    assert print_bool_program(second) == printed
 
 
 def test_stats_op_counts_compute_requests_and_queue_depth(tmp_path):
@@ -788,3 +845,109 @@ def test_c2bp_op_alias_is_unknown():
         server._executor.shutdown()
     assert reply["ok"] is False
     assert reply["error"] == "unknown op 'c2bp'"
+
+
+# -- warm replies across program variants ----------------------------------
+
+
+def _variant_request(source, predicates):
+    return {"op": "check", "source": source, "predicates": predicates,
+            "entry": "main", "name": "variant"}
+
+
+def _cold_reply(request):
+    from repro.serve.server import ReproServer
+
+    server = ReproServer()
+    try:
+        return server._run_job(request)
+    finally:
+        server._executor.shutdown()
+
+
+def _warm_replies(tmp_path, first, second):
+    """``second``'s reply from a store-less daemon that answered ``first``
+    before it, and from a fresh daemon over the store ``first`` filled."""
+    from repro.serve.server import ReproServer
+
+    replies = []
+    server = ReproServer()
+    try:
+        server._run_job(first)
+        replies.append(server._run_job(second))
+    finally:
+        server._executor.shutdown()
+    cache = str(tmp_path / "cache")
+    for request in (first, second):
+        server = ReproServer(cache_dir=cache)
+        try:
+            reply = server._run_job(request)
+        finally:
+            server._executor.shutdown()
+    replies.append(reply)
+    return replies
+
+
+def _assert_warm_matches_cold(tmp_path, first, second):
+    cold = _cold_reply(second)
+    assert cold["ok"]
+    for reply in _warm_replies(tmp_path, first, second):
+        assert reply["output"] == cold["output"]
+        assert reply["exit_code"] == cold["exit_code"]
+    return cold
+
+
+_ALIAS_VARIANT = (
+    "int *r; int *t; void g(int *s) { *s = 1; } "
+    "void main() { int a; int b; r = &a; t = &b; a = 0; g(t); assert(a == 0); } "
+    "void h() { %s }"
+)
+
+
+def test_smoke_alias_merge_after_main_is_not_answered_stale(tmp_path):
+    """Variant B differs from A only in ``h``, after ``main``: ``r = t``
+    merges the classes of ``a`` and ``b``, so ``g(t)`` may write ``a``.
+    No text of ``main`` changed, yet its translation did; the points-to
+    facts in the keys keep A's translation from answering B."""
+    predicates = "\nmain\na == 0\n"
+    first = _variant_request(_ALIAS_VARIANT % "r = r;", predicates)
+    second = _variant_request(_ALIAS_VARIANT % "r = t;", predicates)
+    assert _cold_reply(first)["output"] == "all asserts discharged.\n"
+    cold = _assert_warm_matches_cold(tmp_path, first, second)
+    assert cold["exit_code"] == 1
+    assert "main: assert(a == 0);" in cold["output"]
+
+
+_SHIFT_SOURCE = """int g;
+int inc(int v) { int r; r = v + 1; return r; }
+void set(int v) { g = v; }
+void main() {
+    int x; int y; int z;
+    x = 0; z = 1; y = inc(x); set(y);
+    if (y == 1) { g = 2; }
+    assert(g == 2);
+}
+"""
+
+
+def test_smoke_position_shifting_edit_matches_a_cold_reply(tmp_path):
+    """An edit at the top of the first procedure shifts every later
+    statement's sid; the reused procedures and statements are re-stamped
+    and still print a cold daemon's bytes."""
+    edited = _SHIFT_SOURCE.replace(
+        "int inc(int v) {", "int inc(int v) {\n    int bench_edit_0;\n    bench_edit_0 = 7;"
+    )
+    first = _variant_request(_SHIFT_SOURCE, _TEMPS_PREDICATES)
+    second = _variant_request(edited, _TEMPS_PREDICATES)
+    _assert_warm_matches_cold(tmp_path, first, second)
+
+
+def test_smoke_global_named_like_a_local_matches_a_cold_reply(tmp_path):
+    """A new global named like ``main``'s local ``x`` changes no text of
+    ``main``, but the call rule now reads ``x == 0`` as mentioning a
+    global name; the keys record which names are globals."""
+    local = "void f() { } void main() { int x; x = 0; f(); assert(x == 0); }"
+    predicates = "\nmain\nx == 0\n"
+    first = _variant_request(local, predicates)
+    second = _variant_request("int x; " + local, predicates)
+    _assert_warm_matches_cold(tmp_path, first, second)

@@ -376,3 +376,40 @@ def test_random_interprocedural_programs_replay_soundly(case):
     source, predicate_text = case
     report = replay(source, predicate_text)
     assert_sound(report)
+
+
+# -- calls that write a caller local through a global pointer --------------------
+
+
+_ESCAPE = (
+    "int *r; int *t; void h() { %s } void g() { h(); *t = 1; } "
+    "void main() { int a; int b; r = &a; t = &b; a = 0; g(); assert(a == 0); }"
+)
+
+
+@pytest.mark.parametrize("h_body, concrete_fails", [
+    ("t = t;", False),  # g writes only b: the assert is provable
+    ("t = r;", True),  # now t may hold &a, and g's *t = 1 breaks the assert
+])
+def test_call_that_writes_an_escaped_local_updates_its_predicates(
+    h_body, concrete_fails
+):
+    """``a``'s address escapes into the global ``r``; when ``h`` copies it
+    into ``t``, ``g`` writes ``a`` through ``*t``.  The call rule must
+    then treat ``a == 0`` as affected (the callee's transitive mod set
+    reaches ``a``'s cell), and only then."""
+    from repro.bebop import Bebop
+    from repro.cfront.interp import AssertionFailure, Interpreter
+
+    source = _ESCAPE % h_body
+    program = parse_c_program(source)
+    try:
+        Interpreter(program).run("main")
+        failed = False
+    except AssertionFailure:
+        failed = True
+    assert failed == concrete_fails
+    predicates = parse_predicate_file("\nmain\na == 0\n", program)
+    tool = C2bp(program, predicates)
+    result = Bebop(tool.run()).run()
+    assert bool(result.assertion_failures) == concrete_fails
